@@ -15,7 +15,6 @@ refuses to produce output when they do not.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .contraction import ClusterAssignment, ContractedGraph
 from .errors import ConfigError, ConsistencyError
 from .exchanges import ExchangeCluster
 from .graph import GraphStats
+from .tables import write_table
 
 PLANCK_PER_DOT = 10**10
 
@@ -476,36 +476,30 @@ def save_report(
     with open(os.path.join(directory, REPORT_TEXT), "w", encoding="utf-8") as fh:
         fh.write(render_report_text(report))
 
-    with open(
-        os.path.join(directory, PARTITION_CSV), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "tx_count", "flux_planck", "tx_pct", "flux_pct"])
-        for name, stats in report.partition.items():
-            writer.writerow(
-                [name, stats.tx_count, stats.flux,
-                 f"{100.0 * stats.tx_pct:.2f}", f"{100.0 * stats.flux_pct:.2f}"]
-            )
-
-    with open(
-        os.path.join(directory, CLUSTER_SIZES_CSV), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_size", "cluster_count"])
-        for size in sorted(report.histogram.size_counts):
-            writer.writerow([size, report.histogram.size_counts[size]])
-
+    write_table(
+        os.path.join(directory, PARTITION_CSV),
+        ["category", "tx_count", "flux_planck", "tx_pct", "flux_pct"],
+        (
+            [name, stats.tx_count, stats.flux,
+             f"{100.0 * stats.tx_pct:.2f}", f"{100.0 * stats.flux_pct:.2f}"]
+            for name, stats in report.partition.items()
+        ),
+    )
+    write_table(
+        os.path.join(directory, CLUSTER_SIZES_CSV),
+        ["cluster_size", "cluster_count"],
+        sorted(report.histogram.size_counts.items()),
+    )
     if contracted is not None:
         labels = cluster_labels or {}
-        with open(
-            os.path.join(directory, EXCHANGE_EDGES_CSV), "w", newline="", encoding="utf-8"
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["src_label", "dst_label", "flux_planck", "multiplicity"])
-            for (src, dst) in sorted(contracted.edges):
-                if contracted.nodes[src].color >= 1 and contracted.nodes[dst].color >= 1:
-                    agg = contracted.edges[(src, dst)]
-                    writer.writerow(
-                        [labels.get(src, str(src)), labels.get(dst, str(dst)),
-                         agg.flux, agg.multiplicity]
-                    )
+        nodes = contracted.nodes
+        write_table(
+            os.path.join(directory, EXCHANGE_EDGES_CSV),
+            ["src_label", "dst_label", "flux_planck", "multiplicity"],
+            (
+                [labels.get(src, str(src)), labels.get(dst, str(dst)),
+                 agg.flux, agg.multiplicity]
+                for (src, dst), agg in sorted(contracted.edges.items())
+                if nodes[src].color >= 1 and nodes[dst].color >= 1
+            ),
+        )

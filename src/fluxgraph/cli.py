@@ -7,8 +7,8 @@ pipeline JSON file whose per-stage blocks supply defaults; explicit
 flags win over the config file.
 
 Exit codes: 0 success, 2 usage, 3 bad configuration, 4 malformed input
-record, 5 inconsistent data files, 6 conservation failure, 7 failed
-verification, 8 I/O error.
+record or CSV row (file and line named), 5 inconsistent data files,
+6 conservation failure, 7 failed verification, 8 I/O error.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from .contraction import (
     verify_contraction,
 )
 from .errors import (
-    ClusterOverlapError,
     ConfigError,
     ConsistencyError,
     FluxGraphError,
     LabelFileError,
     MalformedRecordError,
-    PartialColoringError,
     UnknownAccountError,
     VerificationError,
 )
@@ -88,10 +86,7 @@ CONTRACTED_DIR = "contracted"
 REPORT_DIR = "report"
 MANIFEST_FILE = "manifest.json"
 
-_DETECT_DEFAULTS = {
-    f.name: getattr(DetectionParams(), f.name)
-    for f in dataclasses.fields(DetectionParams)
-}
+_DETECT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DetectionParams)}
 
 
 def _load_pipeline_config(path: str | None) -> dict:
@@ -140,15 +135,12 @@ def _parse_cuts(value) -> tuple[int, ...]:
     raise ConfigError(f"cannot interpret bucket cuts {value!r}")
 
 
-def _detection_params(args, config: dict) -> DetectionParams:
+def _detection_options(args, config: dict) -> tuple[DetectionParams, str | None]:
+    """Resolve the detect block once: the heuristic's parameters and the
+    labels path."""
     opts = _stage_options(args, config, "detect", dict(_DETECT_DEFAULTS, labels=None))
-    opts.pop("labels")
-    return DetectionParams(**opts)
-
-
-def _labels_path(args, config: dict) -> str | None:
-    opts = _stage_options(args, config, "detect", dict(_DETECT_DEFAULTS, labels=None))
-    return opts["labels"]
+    labels_path = opts.pop("labels")
+    return DetectionParams(**opts), labels_path
 
 
 def _emit(payload: dict) -> None:
@@ -200,8 +192,7 @@ def cmd_stats(args, config: dict) -> int:
 
 def cmd_detect(args, config: dict) -> int:
     t0 = time.perf_counter()
-    params = _detection_params(args, config)
-    labels_path = _labels_path(args, config)
+    params, labels_path = _detection_options(args, config)
     graph = load_graph(args.graph)
     labels = load_labels(labels_path) if labels_path else None
     clusters = detect_exchanges(graph, params, labels)
@@ -239,6 +230,12 @@ def cmd_contract(args, config: dict) -> int:
     graph = load_graph(args.graph)
     if args.coloring:
         coloring = load_coloring(args.coloring)
+        # contract() rejects missing nodes; extra accounts mean another run's file
+        if len(coloring.colors) > graph.order:
+            outside = next(a for a in coloring.colors if not graph.has_node(a))
+            raise UnknownAccountError(
+                f"{args.coloring} colors account {outside!r}, which is not in the graph"
+            )
     else:
         coloring = Coloring.all_users(graph)
     if args.verify:
@@ -350,8 +347,7 @@ def cmd_run(args, config: dict) -> int:
     run_opts = _stage_options(args, config, "run", {"detect": True, "verify": False})
     detect_enabled = bool(run_opts["detect"]) and not args.no_detect
     verify = bool(run_opts["verify"])
-    params = _detection_params(args, config)
-    labels_path = _labels_path(args, config)
+    params, labels_path = _detection_options(args, config)
 
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
@@ -473,6 +469,12 @@ def _common_parent(with_config: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
+def _add_detection_flags(sp: argparse.ArgumentParser) -> None:
+    """One --flag per DetectionParams field, typed like its default."""
+    for name, default in _DETECT_DEFAULTS.items():
+        sp.add_argument("--" + name.replace("_", "-"), type=type(default), dest=name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxgraph",
@@ -512,13 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the node coloring CSV")
     sp.add_argument("--labels", metavar="FILE",
                     help="address,label CSV naming known main wallets")
-    sp.add_argument("--top-k", type=int, dest="top_k")
-    sp.add_argument("--deposit-neighbor-threshold", type=float,
-                    dest="deposit_neighbor_threshold")
-    sp.add_argument("--min-neighbors", type=int, dest="min_neighbors")
-    sp.add_argument("--deposit-forward-fraction", type=float,
-                    dest="deposit_forward_fraction")
-    sp.add_argument("--min-deposit-inflows", type=int, dest="min_deposit_inflows")
+    _add_detection_flags(sp)
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("contract", parents=[common],
@@ -565,13 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip exchange detection; contract user components only")
     sp.add_argument("--verify", action="store_true", default=None,
                     help="cross-check the contraction before reporting")
-    sp.add_argument("--top-k", type=int, dest="top_k")
-    sp.add_argument("--deposit-neighbor-threshold", type=float,
-                    dest="deposit_neighbor_threshold")
-    sp.add_argument("--min-neighbors", type=int, dest="min_neighbors")
-    sp.add_argument("--deposit-forward-fraction", type=float,
-                    dest="deposit_forward_fraction")
-    sp.add_argument("--min-deposit-inflows", type=int, dest="min_deposit_inflows")
+    _add_detection_flags(sp)
     sp.add_argument("--bucket-cuts", dest="bucket_cuts", metavar="N,N,...")
     sp.set_defaults(func=cmd_run)
 
@@ -596,17 +586,15 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, exc)
     except MalformedRecordError as exc:
         return _fail(EXIT_MALFORMED, exc)
-    except (UnknownAccountError, LabelFileError, ClusterOverlapError,
-            PartialColoringError) as exc:
-        return _fail(EXIT_DATA, exc)
     except ConsistencyError as exc:
         return _fail(EXIT_CONSERVATION, exc)
     except VerificationError as exc:
         return _fail(EXIT_VERIFY, exc)
-    except FluxGraphError as exc:
-        return _fail(EXIT_DATA, exc)
-    except OSError as exc:
+    except (OSError, LabelFileError) as exc:
         return _fail(EXIT_IO, exc)
+    except FluxGraphError as exc:
+        # unknown account, overlapping clusters, partial coloring
+        return _fail(EXIT_DATA, exc)
 
 
 def _fail(code: int, exc: Exception) -> int:

@@ -24,7 +24,6 @@ count, intra plus cross flux to the original total flux.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from collections import deque
@@ -32,9 +31,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 from xml.etree import ElementTree
 
-from .errors import ConfigError, MalformedRecordError, PartialColoringError
+from .errors import ConfigError, PartialColoringError
 from .exchanges import Coloring
 from .graph import AggregatedGraph, EdgeAggregate
+from .tables import read_table, write_table
 
 ClusterAssignment = dict[str, int]
 
@@ -445,32 +445,26 @@ def save_contracted(
     pipeline stores pre-contraction graph statistics there)."""
     os.makedirs(directory, exist_ok=True)
     labels = dict(labels or {})
-    with open(
-        os.path.join(directory, CONTRACTED_NODES_FILE), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_NODES_HEADER)
-        for cid in sorted(contracted.nodes):
-            node = contracted.nodes[cid]
-            writer.writerow(
-                [cid, node.color, labels.get(cid, ""), node.member_count,
-                 node.intra_flux, node.intra_tx_count]
-            )
-    with open(
-        os.path.join(directory, CONTRACTED_EDGES_FILE), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EDGES_HEADER)
-        for (src, dst) in sorted(contracted.edges):
-            agg = contracted.edges[(src, dst)]
-            writer.writerow([src, dst, agg.flux, agg.multiplicity])
-    with open(
-        os.path.join(directory, ASSIGNMENT_FILE), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ASSIGNMENT_HEADER)
-        for address in sorted(assignment):
-            writer.writerow([address, assignment[address]])
+    write_table(
+        os.path.join(directory, CONTRACTED_NODES_FILE),
+        _NODES_HEADER,
+        (
+            [cid, node.color, labels.get(cid, ""), node.member_count,
+             node.intra_flux, node.intra_tx_count]
+            for cid, node in sorted(contracted.nodes.items())
+        ),
+    )
+    write_table(
+        os.path.join(directory, CONTRACTED_EDGES_FILE),
+        _EDGES_HEADER,
+        (
+            [src, dst, agg.flux, agg.multiplicity]
+            for (src, dst), agg in sorted(contracted.edges.items())
+        ),
+    )
+    write_table(
+        os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, sorted(assignment.items())
+    )
     _write_graphml(os.path.join(directory, GRAPHML_FILE), contracted, labels)
     _write_dot(os.path.join(directory, DOT_FILE), contracted, labels)
     with open(os.path.join(directory, META_FILE), "w", encoding="utf-8") as fh:
@@ -485,45 +479,21 @@ def load_contracted(
     graph, the assignment, the meta dict and the cluster label map."""
     contracted = ContractedGraph()
     labels: dict[int, str] = {}
-    path = os.path.join(directory, CONTRACTED_NODES_FILE)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _NODES_HEADER:
-            raise MalformedRecordError(f"unexpected header in {path}")
-        for row in reader:
-            if len(row) != 6:
-                raise MalformedRecordError(f"bad node row {row!r} in {path}")
-            cid = int(row[0])
-            contracted.nodes[cid] = ContractedNode(
-                cluster_id=cid,
-                color=int(row[1]),
-                member_count=int(row[3]),
-                intra_flux=int(row[4]),
-                intra_tx_count=int(row[5]),
-            )
-            if row[2]:
-                labels[cid] = row[2]
-    path = os.path.join(directory, CONTRACTED_EDGES_FILE)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _EDGES_HEADER:
-            raise MalformedRecordError(f"unexpected header in {path}")
-        for row in reader:
-            if len(row) != 4:
-                raise MalformedRecordError(f"bad edge row {row!r} in {path}")
-            contracted.edges[(int(row[0]), int(row[1]))] = EdgeAggregate(
-                int(row[2]), int(row[3])
-            )
-    assignment: ClusterAssignment = {}
-    path = os.path.join(directory, ASSIGNMENT_FILE)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _ASSIGNMENT_HEADER:
-            raise MalformedRecordError(f"unexpected header in {path}")
-        for row in reader:
-            if len(row) != 2:
-                raise MalformedRecordError(f"bad assignment row {row!r} in {path}")
-            assignment[row[0]] = int(row[1])
+    for cid, color, label, member_count, intra_flux, intra_tx in read_table(
+        os.path.join(directory, CONTRACTED_NODES_FILE),
+        _NODES_HEADER,
+        ("cluster_id", "color", "member_count", "intra_flux_planck", "intra_tx_count"),
+    ):
+        contracted.nodes[cid] = ContractedNode(cid, color, member_count, intra_flux, intra_tx)
+        if label:
+            labels[cid] = label
+    for src, dst, flux, multiplicity in read_table(
+        os.path.join(directory, CONTRACTED_EDGES_FILE), _EDGES_HEADER, _EDGES_HEADER
+    ):
+        contracted.edges[(src, dst)] = EdgeAggregate(flux, multiplicity)
+    assignment: ClusterAssignment = dict(
+        read_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",))
+    )
     meta_path = os.path.join(directory, META_FILE)
     meta: dict = {}
     if os.path.exists(meta_path):

@@ -10,16 +10,19 @@ class ConfigError(FluxGraphError):
 
 
 class MalformedRecordError(FluxGraphError):
-    """A ledger record line could not be parsed.
+    """A ledger record line or a CSV row could not be parsed.
 
-    Carries the 1-based line number (None when parsing a bare string)
-    and a human-readable reason.
+    Carries the 1-based line number (None when parsing a bare string),
+    the file path when known, and a human-readable reason.
     """
 
-    def __init__(self, reason: str, line_no=None):
+    def __init__(self, reason: str, line_no=None, path=None):
         self.reason = reason
         self.line_no = line_no
+        self.path = path
         where = f"line {line_no}: " if line_no is not None else ""
+        if path is not None:
+            where = f"{path}:{line_no}: "
         super().__init__(f"{where}{reason}")
 
 
@@ -36,7 +39,7 @@ class UnknownAccountError(FluxGraphError):
 
 
 class LabelFileError(FluxGraphError):
-    """The address/label CSV could not be read."""
+    """The address/label CSV could not be opened."""
 
 
 class ClusterOverlapError(FluxGraphError):

@@ -14,7 +14,6 @@ exactly that: 90 passing neighbors out of 100 fails.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from .errors import (
     UnknownAccountError,
 )
 from .graph import AggregatedGraph, degree_centrality_ranking
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -284,75 +284,58 @@ ROLE_MAIN = "main"
 ROLE_DEPOSIT = "deposit"
 
 
+def _label_named(row: list) -> Optional[str]:
+    return None if row[0] and row[1] else "address and label must be non-empty"
+
+
 def load_labels(path: str) -> dict[str, str]:
     """Read an address,label CSV (header required) into a dict."""
-    labels: dict[str, str] = {}
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        return dict(read_table(path, LABELS_HEADER, check=_label_named))
     except OSError as exc:
         raise LabelFileError(f"cannot read label file {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise LabelFileError(f"label file {path} must start with 'address,label'")
-        for row in reader:
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise LabelFileError(f"bad label row {row!r} in {path}")
-            labels[row[0]] = row[1]
-    return labels
 
 
 def save_clusters(path: str, clusters: Iterable[ExchangeCluster]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTERS_HEADER)
-        for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-            for address in sorted(cluster.main_addresses):
-                writer.writerow([cluster.cluster_id, cluster.label, address, ROLE_MAIN])
-            for address in sorted(cluster.deposit_addresses):
-                writer.writerow([cluster.cluster_id, cluster.label, address, ROLE_DEPOSIT])
+    write_table(
+        path,
+        CLUSTERS_HEADER,
+        (
+            [cluster.cluster_id, cluster.label, address, role]
+            for cluster in sorted(clusters, key=lambda c: c.cluster_id)
+            for role, members in (
+                (ROLE_MAIN, cluster.main_addresses),
+                (ROLE_DEPOSIT, cluster.deposit_addresses),
+            )
+            for address in sorted(members)
+        ),
+    )
+
+
+def _known_role(row: list) -> Optional[str]:
+    if row[3] in (ROLE_MAIN, ROLE_DEPOSIT):
+        return None
+    return f"role must be {ROLE_MAIN!r} or {ROLE_DEPOSIT!r}, got {row[3]!r}"
 
 
 def load_clusters(path: str) -> list[ExchangeCluster]:
     found: dict[int, ExchangeCluster] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CLUSTERS_HEADER:
-            raise LabelFileError(f"cluster file {path} has unexpected header {header!r}")
-        for row in reader:
-            if len(row) != 4 or row[3] not in (ROLE_MAIN, ROLE_DEPOSIT):
-                raise LabelFileError(f"bad cluster row {row!r} in {path}")
-            cid = int(row[0])
-            cluster = found.get(cid)
-            if cluster is None:
-                cluster = ExchangeCluster(cluster_id=cid, label=row[1])
-                found[cid] = cluster
-            if row[3] == ROLE_MAIN:
-                cluster.main_addresses.add(row[2])
-            else:
-                cluster.deposit_addresses.add(row[2])
+    for cid, label, address, role in read_table(
+        path, CLUSTERS_HEADER, ("cluster_id",), _known_role
+    ):
+        cluster = found.get(cid)
+        if cluster is None:
+            cluster = found[cid] = ExchangeCluster(cluster_id=cid, label=label)
+        if role == ROLE_MAIN:
+            cluster.main_addresses.add(address)
+        else:
+            cluster.deposit_addresses.add(address)
     return [found[cid] for cid in sorted(found)]
 
 
 def save_coloring(path: str, coloring: Coloring) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLORING_HEADER)
-        for address in sorted(coloring.colors):
-            writer.writerow([address, coloring.colors[address]])
+    write_table(path, COLORING_HEADER, sorted(coloring.colors.items()))
 
 
 def load_coloring(path: str) -> Coloring:
-    colors: dict[str, int] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != COLORING_HEADER:
-            raise LabelFileError(f"coloring file {path} has unexpected header {header!r}")
-        for row in reader:
-            if len(row) != 2:
-                raise LabelFileError(f"bad coloring row {row!r} in {path}")
-            colors[row[0]] = int(row[1])
-    return Coloring(colors)
+    return Coloring(dict(read_table(path, COLORING_HEADER, ("color",))))

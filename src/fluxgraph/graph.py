@@ -9,13 +9,13 @@ neighborhood scans used by the exchange heuristics are O(degree).
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import MalformedRecordError, UnknownAccountError
+from .errors import UnknownAccountError
 from .records import TransferRecord
+from .tables import read_table, write_table
 
 
 @dataclass(slots=True)
@@ -43,16 +43,13 @@ class GraphStats:
 class AggregatedGraph:
     """Directed graph of accounts with flux/multiplicity edge weights."""
 
-    def __init__(self, track_block_range: bool = False):
+    def __init__(self):
         self._out: dict[str, dict[str, EdgeAggregate]] = {}
         self._in: dict[str, dict[str, EdgeAggregate]] = {}
         self._nodes: set[str] = set()
         self._edge_count = 0
         self._tx_count = 0
         self._flux = 0
-        self.block_range: Optional[dict[tuple[str, str], list[int]]] = (
-            {} if track_block_range else None
-        )
 
     # -- construction -------------------------------------------------
 
@@ -62,22 +59,11 @@ class AggregatedGraph:
             self._out[account] = {}
             self._in[account] = {}
 
-    def add_transfer(
-        self, sender: str, recipient: str, amount: int, block: int | None = None
-    ) -> None:
+    def add_transfer(self, sender: str, recipient: str, amount: int) -> None:
         """Fold one transfer into the aggregate. amount must be positive."""
         if amount <= 0:
             raise ValueError("transfer amount must be positive")
         self._bump(sender, recipient, amount, 1)
-        if self.block_range is not None and block is not None:
-            span = self.block_range.get((sender, recipient))
-            if span is None:
-                self.block_range[(sender, recipient)] = [block, block]
-            else:
-                if block < span[0]:
-                    span[0] = block
-                if block > span[1]:
-                    span[1] = block
 
     def add_edge(self, sender: str, recipient: str, flux: int, multiplicity: int) -> None:
         """Fold a pre-aggregated edge in (used when loading from disk)."""
@@ -171,13 +157,11 @@ class AggregatedGraph:
         return sum(a.flux for a in self.out_edges(account).values())
 
 
-def build_graph(
-    transfers: Iterable[TransferRecord], track_block_range: bool = False
-) -> AggregatedGraph:
+def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
     """Aggregate a transfer stream; the result is independent of input order."""
-    g = AggregatedGraph(track_block_range=track_block_range)
+    g = AggregatedGraph()
     for t in transfers:
-        g.add_transfer(t.sender, t.recipient, t.amount_planck, block=t.block_number)
+        g.add_transfer(t.sender, t.recipient, t.amount_planck)
     return g
 
 
@@ -209,43 +193,41 @@ def graph_stats(graph: AggregatedGraph) -> GraphStats:
 
 NODES_FILE = "nodes.csv"
 EDGES_FILE = "edges.csv"
+NODES_HEADER = ["account"]
+EDGES_HEADER = ["sender", "recipient", "flux_planck", "multiplicity"]
 
 
 def save_graph(graph: AggregatedGraph, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, NODES_FILE), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account"])
-        for account in sorted(graph.nodes):
-            writer.writerow([account])
-    with open(os.path.join(directory, EDGES_FILE), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sender", "recipient", "flux_planck", "multiplicity"])
-        for sender, recipient, agg in sorted(graph.edges(), key=lambda e: (e[0], e[1])):
-            writer.writerow([sender, recipient, agg.flux, agg.multiplicity])
+    write_table(
+        os.path.join(directory, NODES_FILE),
+        NODES_HEADER,
+        ([account] for account in sorted(graph.nodes)),
+    )
+    write_table(
+        os.path.join(directory, EDGES_FILE),
+        EDGES_HEADER,
+        (
+            [sender, recipient, agg.flux, agg.multiplicity]
+            for sender, recipient, agg in sorted(graph.edges(), key=lambda e: (e[0], e[1]))
+        ),
+    )
+
+
+def _positive_edge(row: list) -> Optional[str]:
+    return None if row[2] and row[3] else "flux_planck and multiplicity must be positive"
 
 
 def load_graph(directory: str) -> AggregatedGraph:
     """Rebuild a graph saved by save_graph; totals are recomputed exactly."""
     g = AggregatedGraph()
-    edges_path = os.path.join(directory, EDGES_FILE)
-    nodes_path = os.path.join(directory, NODES_FILE)
-    with open(edges_path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sender", "recipient", "flux_planck", "multiplicity"]:
-            raise MalformedRecordError(f"unexpected edge file header in {edges_path}")
-        for row in reader:
-            if len(row) != 4:
-                raise MalformedRecordError(f"bad edge row {row!r} in {edges_path}")
-            g.add_edge(row[0], row[1], int(row[2]), int(row[3]))
-    with open(nodes_path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["account"]:
-            raise MalformedRecordError(f"unexpected node file header in {nodes_path}")
-        for row in reader:
-            if len(row) != 1:
-                raise MalformedRecordError(f"bad node row {row!r} in {nodes_path}")
-            g.add_node(row[0])
+    for sender, recipient, flux, multiplicity in read_table(
+        os.path.join(directory, EDGES_FILE),
+        EDGES_HEADER,
+        ("flux_planck", "multiplicity"),
+        _positive_edge,
+    ):
+        g.add_edge(sender, recipient, flux, multiplicity)
+    for (account,) in read_table(os.path.join(directory, NODES_FILE), NODES_HEADER):
+        g.add_node(account)
     return g

@@ -9,13 +9,13 @@ Unknown fields are ignored so richer exports can be fed in unchanged.
 
 Only successful, signed balance transfers survive filtering; everything
 else (staking, governance, failed or unsigned calls, zero amounts) is
-dropped and counted. All amounts stay integer Planck end to end.
+dropped and counted by reason. All amounts stay integer Planck end to end.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Optional
 
@@ -63,24 +63,30 @@ class TransferRecord:
             raise ValueError("transfer endpoints must be non-empty")
 
 
+# Why a parsed record is dropped, in the order classify_record tests them.
+DROP_REASONS = ("below_start_block", "non_transfer", "unsigned", "failed", "zero_amount")
+
+
 @dataclass(slots=True)
 class IngestSummary:
-    """Counts for one ingest run; kept + dropped always equals parsed."""
+    """Counts for one ingest run. A dropped record counts under its drop
+    reason, so kept + dropped always equals parsed."""
 
     parsed: int = 0
     kept: int = 0
-    dropped: int = 0
-    zero_amount: int = 0
     error_lines: int = 0
+    below_start_block: int = 0
+    non_transfer: int = 0
+    unsigned: int = 0
+    failed: int = 0
+    zero_amount: int = 0
+
+    @property
+    def dropped(self) -> int:
+        return sum(getattr(self, reason) for reason in DROP_REASONS)
 
     def as_dict(self) -> dict:
-        return {
-            "parsed": self.parsed,
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "zero_amount": self.zero_amount,
-            "error_lines": self.error_lines,
-        }
+        return dict(asdict(self), dropped=self.dropped)
 
 
 def is_transfer_call(module_id: str, call_id: str) -> bool:
@@ -193,21 +199,28 @@ def parse_extrinsic_line(line: str, line_no: int | None = None) -> ExtrinsicReco
     )
 
 
-def filter_transfer(record: ExtrinsicRecord) -> Optional[TransferRecord]:
-    """Return a TransferRecord when the record is a kept transfer, else None.
+def classify_record(
+    record: ExtrinsicRecord, start_block: int = 0
+) -> TransferRecord | str:
+    """Return the kept transfer a record yields, or why it is dropped.
 
-    Kept means: Balances module, one of the transfer calls, signed,
-    successful, both endpoints present and a strictly positive amount.
-    Pure function; never raises on a well-formed ExtrinsicRecord.
+    The reason is the first of DROP_REASONS the record meets: a block
+    below start_block; not a Balances transfer call, or an endpoint
+    missing; unsigned; failed; a non-positive amount. Pure function;
+    never raises on a well-formed ExtrinsicRecord.
     """
+    if record.block_number < start_block:
+        return "below_start_block"
     if not is_transfer_call(record.module_id, record.call_id):
-        return None
-    if not record.signed or not record.success:
-        return None
+        return "non_transfer"
     if not record.sender or not record.recipient:
-        return None
+        return "non_transfer"
+    if not record.signed:
+        return "unsigned"
+    if not record.success:
+        return "failed"
     if record.amount_planck <= 0:
-        return None
+        return "zero_amount"
     return TransferRecord(
         sender=record.sender,
         recipient=record.recipient,
@@ -217,15 +230,10 @@ def filter_transfer(record: ExtrinsicRecord) -> Optional[TransferRecord]:
     )
 
 
-def _is_zero_amount_transfer(record: ExtrinsicRecord) -> bool:
-    return (
-        record.amount_planck == 0
-        and is_transfer_call(record.module_id, record.call_id)
-        and record.signed
-        and record.success
-        and bool(record.sender)
-        and bool(record.recipient)
-    )
+def filter_transfer(record: ExtrinsicRecord) -> Optional[TransferRecord]:
+    """Return a TransferRecord when the record is a kept transfer, else None."""
+    kept = classify_record(record)
+    return None if isinstance(kept, str) else kept
 
 
 def ingest(
@@ -238,8 +246,8 @@ def ingest(
 
     Records below start_block are dropped. on_error is "fail" (raise on
     the first malformed line, with its line number) or "skip" (count the
-    line and continue). Pass a summary to observe counts; it is complete
-    once iteration finishes, and kept + dropped == parsed always holds.
+    line and continue). Pass a summary to observe counts, per drop
+    reason; it is complete once iteration finishes.
     Blank lines are ignored.
     """
     if on_error not in ("fail", "skip"):
@@ -256,17 +264,12 @@ def ingest(
             s.error_lines += 1
             continue
         s.parsed += 1
-        if record.block_number < start_block:
-            s.dropped += 1
-            continue
-        transfer = filter_transfer(record)
-        if transfer is None:
-            s.dropped += 1
-            if _is_zero_amount_transfer(record):
-                s.zero_amount += 1
+        kept = classify_record(record, start_block)
+        if isinstance(kept, str):
+            setattr(s, kept, getattr(s, kept) + 1)
             continue
         s.kept += 1
-        yield transfer
+        yield kept
 
 
 def transfer_line(t: TransferRecord) -> str:

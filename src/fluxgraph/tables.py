@@ -1,0 +1,74 @@
+"""CSV tables: the one reader and writer behind every CSV artifact.
+
+A table is a header row followed by data rows, written as UTF-8 in the
+csv module's default dialect. Cells are strings, except the integer
+columns a reader names, which must hold non-negative decimal integers.
+Every fault found while reading raises MalformedRecordError naming the
+file and the 1-based line.
+"""
+
+from __future__ import annotations
+
+import csv
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from .errors import MalformedRecordError
+
+
+def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(
+    path: str,
+    header: Sequence[str],
+    ints: Sequence[str] = (),
+    check: Optional[Callable[[list], Optional[str]]] = None,
+) -> Iterator[list]:
+    """Yield the data rows of a CSV file that starts with exactly header.
+
+    Every row must be as wide as the header. The columns named in ints
+    are converted to int in place. check, when given, sees each
+    converted row and returns the reason to reject it, or None.
+    """
+    header = list(header)
+    width = len(header)
+    columns = [header.index(name) for name in ints]
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise MalformedRecordError(
+                    f"expected header {','.join(header)!r}, got {found!r}", 1, path
+                )
+            for row in reader:
+                if len(row) != width:
+                    raise MalformedRecordError(
+                        f"expected {width} fields, got {len(row)}", reader.line_num, path
+                    )
+                for i in columns:
+                    cell = row[i]
+                    # isdigit alone admits non-ASCII digits such as '²'
+                    if not (cell.isdigit() and cell.isascii()):
+                        raise MalformedRecordError(
+                            f"{header[i]} must be a non-negative integer, got {cell!r}",
+                            reader.line_num,
+                            path,
+                        )
+                    row[i] = int(cell)
+                if check is not None:
+                    reason = check(row)
+                    if reason is not None:
+                        raise MalformedRecordError(reason, reader.line_num, path)
+                yield row
+        except csv.Error as exc:
+            raise MalformedRecordError(str(exc), reader.line_num + 1, path) from None
+        except UnicodeDecodeError as exc:
+            # text is decoded in chunks, so the bad byte may lie a few lines on
+            raise MalformedRecordError(
+                f"not UTF-8 at or after this line ({exc.reason})", reader.line_num + 1, path
+            ) from None

@@ -86,6 +86,12 @@ class TestExitCodes:
                          str(out_skip), "--on-error", "skip", "--quiet"])
         assert code == cli.EXIT_OK
 
+    def test_missing_labels_file_is_io_error(self, tmp_path, ledger):
+        _, path, _ = ledger
+        code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
+                         "--labels", str(tmp_path / "absent.csv"), "--quiet"])
+        assert code == cli.EXIT_IO
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         code = cli.main(["synth", "--scenario", str(tmp_path / "absent.json"),
                          "--output", str(tmp_path / "x.jsonl"), "--quiet"])
@@ -107,6 +113,56 @@ class TestExitCodes:
         code = cli.main(["analyze", "--contracted", str(out / "contracted"),
                          "--output", str(tmp_path / "report"), "--quiet"])
         assert code == cli.EXIT_CONFIG
+
+
+def write_graph(directory, edge_rows):
+    """A three-account graph directory whose edges.csv holds edge_rows
+    after one good row, so the first of them sits on line 3."""
+    directory.mkdir()
+    (directory / "nodes.csv").write_text("account\na\nb\nc\n")
+    (directory / "edges.csv").write_text(
+        "sender,recipient,flux_planck,multiplicity\na,b,5,1\n"
+        + "".join(row + "\n" for row in edge_rows))
+    return str(directory)
+
+
+class TestMalformedFiles:
+    """Bad rows in the CSV files the stages hand over end in exit 4 with
+    file and line named; they never escape as a traceback."""
+
+    @pytest.mark.parametrize("row", ["b,c,12x,1", "b,c,-5,1", "b,c,5", "b,c,0,1"])
+    def test_stats_on_bad_edge_row(self, tmp_path, capsys, row):
+        graph = write_graph(tmp_path / "graph", [row])
+        code = cli.main(["stats", "--graph", graph, "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert "edges.csv:3:" in capsys.readouterr().err
+
+    def test_contract_on_non_integer_color(self, tmp_path, capsys):
+        graph = write_graph(tmp_path / "graph", [])
+        coloring = tmp_path / "coloring.csv"
+        coloring.write_text("address,color\na,0\nb,x\nc,0\n")
+        code = cli.main(["contract", "--graph", graph, "--coloring", str(coloring),
+                         "--output", str(tmp_path / "out"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert "coloring.csv:3:" in capsys.readouterr().err
+
+    def test_contract_on_coloring_with_unknown_account(self, tmp_path, capsys):
+        graph = write_graph(tmp_path / "graph", [])
+        coloring = tmp_path / "coloring.csv"
+        coloring.write_text("address,color\na,0\nb,0\nc,0\nghost,1\n")
+        code = cli.main(["contract", "--graph", graph, "--coloring", str(coloring),
+                         "--output", str(tmp_path / "out"), "--quiet"])
+        assert code == cli.EXIT_DATA
+        assert "ghost" in capsys.readouterr().err
+
+    def test_detect_on_empty_label(self, tmp_path, capsys):
+        graph = write_graph(tmp_path / "graph", [])
+        labels = tmp_path / "labels.csv"
+        labels.write_text("address,label\na,acme\nb,\n")
+        code = cli.main(["detect", "--graph", graph, "--labels", str(labels),
+                         "--output", str(tmp_path / "clusters.csv"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert "labels.csv:3:" in capsys.readouterr().err
 
 
 def run_pipeline(path, outdir, labels=None, extra=()):

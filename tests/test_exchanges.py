@@ -7,6 +7,7 @@ from fluxgraph.errors import (
     ClusterOverlapError,
     ConfigError,
     LabelFileError,
+    MalformedRecordError,
     UnknownAccountError,
 )
 from fluxgraph.exchanges import (
@@ -336,8 +337,9 @@ class TestPersistence:
     def test_labels_header_required(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("m1,acme\n")
-        with pytest.raises(LabelFileError):
+        with pytest.raises(MalformedRecordError) as exc:
             load_labels(str(path))
+        assert f"{path}:1:" in str(exc.value)
 
     def test_labels_missing_file(self):
         with pytest.raises(LabelFileError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_transfers
-from fluxgraph.errors import UnknownAccountError
+from fluxgraph.errors import MalformedRecordError, UnknownAccountError
 from fluxgraph.graph import (
     AggregatedGraph,
     build_graph,
@@ -75,13 +75,6 @@ class TestAggregation:
         g = build_graph(transfers)
         assert g.edge("a", "b").flux == 7
         assert g.transaction_count == 2
-
-    def test_block_range_tracking(self):
-        transfers = [TransferRecord("a", "b", 3, 7, 10),
-                     TransferRecord("a", "b", 4, 3, 20),
-                     TransferRecord("a", "b", 9, 11, 30)]
-        g = build_graph(transfers, track_block_range=True)
-        assert g.block_range[("a", "b")] == [3, 11]
 
 
 class TestNeighborsAndDegree:
@@ -168,10 +161,25 @@ class TestPersistence:
         assert "lonely" in load_graph(str(tmp_path)).nodes
 
     def test_header_is_validated(self, tmp_path):
-        from fluxgraph.errors import MalformedRecordError
         save_graph(graph_from([("a", "b", 1)]), str(tmp_path))
         (tmp_path / "edges.csv").write_text("x,y\n")
         with pytest.raises(MalformedRecordError):
+            load_graph(str(tmp_path))
+
+    @pytest.mark.parametrize("row", ["a,b,12x,1", "a,b,-5,1", "a,b,5", "a,b,5,0"])
+    def test_bad_edge_row_names_file_and_line(self, tmp_path, row):
+        save_graph(graph_from([("a", "b", 1)]), str(tmp_path))
+        with open(tmp_path / "edges.csv", "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(MalformedRecordError) as exc:
+            load_graph(str(tmp_path))
+        assert exc.value.line_no == 3
+        assert f"{tmp_path / 'edges.csv'}:3:" in str(exc.value)
+
+    def test_non_utf8_node_file_is_malformed(self, tmp_path):
+        save_graph(graph_from([("a", "b", 1)]), str(tmp_path))
+        (tmp_path / "nodes.csv").write_bytes(b"account\na\n\xff\n")
+        with pytest.raises(MalformedRecordError, match="nodes.csv"):
             load_graph(str(tmp_path))
 
 

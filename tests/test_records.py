@@ -189,15 +189,19 @@ class TestIngest:
             record_line(amount_planck=0),
             record_line(block_number=5),
             record_line(success=False),
+            record_line(signed=False, success=False),
+            record_line(block_number=6, amount_planck=0),
         ]
         summary = IngestSummary()
         kept = list(ingest(lines, start_block=50, summary=summary))
         assert [t.sender for t in kept] == ["alice"]
-        assert summary.parsed == 5  # blank line is not a record
+        assert summary.parsed == 7  # blank line is not a record
         assert summary.kept == 1
-        assert summary.dropped == 4
+        assert summary.dropped == 6
         assert summary.kept + summary.dropped == summary.parsed
-        assert summary.zero_amount == 1
+        # the first rule a record breaks is its one drop reason
+        assert (summary.below_start_block, summary.non_transfer, summary.unsigned,
+                summary.failed, summary.zero_amount) == (2, 1, 1, 1, 1)
 
     def test_start_block_boundary(self):
         lines = [record_line(block_number=99), record_line(block_number=100)]
