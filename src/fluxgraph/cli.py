@@ -7,14 +7,16 @@ pipeline JSON file whose per-stage blocks supply defaults; explicit
 flags win over the config file.
 
 Exit codes: 0 success, 2 usage, 3 bad configuration, 4 malformed input
-record or CSV row (file and line named), 5 inconsistent data files,
+record, CSV row or meta.json (file and line named), 5 inconsistent data files,
 6 conservation failure, 7 failed verification, 8 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -28,6 +30,8 @@ from .analytics import (
     check_conservation,
     save_report,
 )
+# canonical_form and transfer_line are not called here, but stay importable
+# from this module: bench/spans.py wraps the layer functions by these names
 from .contraction import (
     canonical_form,
     contract,
@@ -59,6 +63,7 @@ from .exchanges import (
 from .graph import (
     AggregatedGraph,
     GraphStats,
+    build_graph,
     degree_centrality_ranking,
     graph_stats,
     load_graph,
@@ -121,7 +126,14 @@ def _stage_options(args, config: dict, stage: str, defaults: dict) -> dict:
     return resolved
 
 
-def _parse_cuts(value) -> tuple[int, ...]:
+def _ingest_options(args, config: dict) -> dict:
+    return _stage_options(args, config, "ingest", {"start_block": 0, "on_error": "fail"})
+
+
+def _bucket_cuts(args, config: dict) -> tuple[int, ...]:
+    value = _stage_options(args, config, "analyze", {"bucket_cuts": None})["bucket_cuts"]
+    if not value:
+        return DEFAULT_BUCKET_CUTS
     if isinstance(value, str):
         parts = [p.strip() for p in value.split(",") if p.strip()]
         try:
@@ -148,22 +160,105 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, key: str):
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+# -- stages: each called by its own command (inputs read from files) and
+# by run (inputs it already holds) --------------------------------------
+
+
+def _folded(graph: AggregatedGraph, transfers):
+    """Pass transfers through, folding each into graph on the way."""
+    for t in transfers:
+        graph.add_transfer(t.sender, t.recipient, t.amount_planck)
+        yield t
+
+
+def _ingest(source: str, output: str, opts: dict,
+            graph: AggregatedGraph | None = None) -> IngestSummary:
+    """Filter the ledger at source into a transfer file. With a graph,
+    each kept transfer is also folded into it, in the same pass."""
+    summary = IngestSummary()
+    with open(source, "r", encoding="utf-8") as src:
+        kept = ingest(src, start_block=opts["start_block"],
+                      on_error=opts["on_error"], summary=summary)
+        write_transfers(output, kept if graph is None else _folded(graph, kept))
+    log.info("ingest: kept %d of %d records", summary.kept, summary.parsed)
+    return summary
+
+
+def _save_graph(graph: AggregatedGraph, directory: str) -> GraphStats:
+    save_graph(graph, directory)
+    stats = graph_stats(graph)
+    log.info("build: %d accounts, %d aggregated edges", stats.order, stats.aggregated_size)
+    return stats
+
+
+def _detection_summary(clusters) -> dict:
+    return {
+        "clusters": len(clusters),
+        "main_addresses": sum(len(c.main_addresses) for c in clusters),
+        "deposit_addresses": sum(len(c.deposit_addresses) for c in clusters),
+    }
+
+
+def _detect(graph: AggregatedGraph, params: DetectionParams | None, labels,
+            clusters_path: str, coloring_path: str | None):
+    """Find exchange clusters (none without params) and save them, and
+    the coloring they induce when coloring_path is given."""
+    clusters = detect_exchanges(graph, params, labels) if params else []
+    save_clusters(clusters_path, clusters)
+    coloring = None
+    if coloring_path:
+        coloring = build_coloring(graph, clusters)
+        save_coloring(coloring_path, coloring)
+    log.info("detect: %d exchange clusters", len(clusters))
+    return clusters, coloring
+
+
+def _verify(graph: AggregatedGraph, coloring: Coloring, contracted, assignment) -> None:
+    """Cross-check a contraction against the independent implementation."""
+    if not verify_contraction(contracted):
+        raise VerificationError("contracted graph is not properly colored")
+    other, other_assignment = oracle_contract(graph, coloring)
+    # both routes number clusters alike, so equal quotients have equal ids
+    if (other_assignment, other.nodes, other.edges) != (
+            assignment, contracted.nodes, contracted.edges):
+        raise VerificationError("independent contraction produced a different quotient graph")
+
+
+def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, directory: str,
+              labels: dict[int, str], timings: dict, **meta):
+    """Contract, cross-check when verify, and save the quotient with meta in meta.json."""
+    with _timed(timings, "contract"):
+        contracted, assignment = contract(graph, coloring)
+        if verify:
+            _verify(graph, coloring, contracted, assignment)
+    meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
+                verified=verify)
+    with _timed(timings, "save_contracted"):
+        save_contracted(contracted, assignment, directory, labels=labels, meta=meta)
+    log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
+    return contracted
+
+
+def _analyze(before: GraphStats, contracted, clusters, cuts, directory: str,
+             labels: dict[int, str]):
+    report = build_report(before, contracted, clusters, cuts)
+    save_report(directory, report, contracted, labels)
+    return report
+
+
 # -- stage commands ----------------------------------------------------
 
 
 def cmd_ingest(args, config: dict) -> int:
-    opts = _stage_options(
-        args, config, "ingest", {"start_block": 0, "on_error": "fail"}
-    )
     t0 = time.perf_counter()
-    summary = IngestSummary()
-    with open(args.input, "r", encoding="utf-8") as src:
-        kept = write_transfers(
-            args.output,
-            ingest(src, start_block=opts["start_block"],
-                   on_error=opts["on_error"], summary=summary),
-        )
-    log.info("ingest: kept %d of %d records", kept, summary.parsed)
+    summary = _ingest(args.input, args.output, _ingest_options(args, config))
     _emit(dict(summary.as_dict(), output=args.output,
                elapsed_s=round(time.perf_counter() - t0, 3)))
     return EXIT_OK
@@ -171,12 +266,7 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_build(args, config: dict) -> int:
     t0 = time.perf_counter()
-    graph = AggregatedGraph()
-    for t in read_transfers(args.input):
-        graph.add_transfer(t.sender, t.recipient, t.amount_planck)
-    save_graph(graph, args.output)
-    stats = graph_stats(graph)
-    log.info("build: %d accounts, %d aggregated edges", stats.order, stats.aggregated_size)
+    stats = _save_graph(build_graph(read_transfers(args.input)), args.output)
     _emit(dict(stats.as_dict(), output=args.output,
                elapsed_s=round(time.perf_counter() - t0, 3)))
     return EXIT_OK
@@ -195,34 +285,15 @@ def cmd_detect(args, config: dict) -> int:
     params, labels_path = _detection_options(args, config)
     graph = load_graph(args.graph)
     labels = load_labels(labels_path) if labels_path else None
-    clusters = detect_exchanges(graph, params, labels)
-    save_clusters(args.output, clusters)
-    if args.coloring:
-        save_coloring(args.coloring, build_coloring(graph, clusters))
-    log.info("detect: %d exchange clusters", len(clusters))
-    _emit({
-        "clusters": len(clusters),
-        "main_addresses": sum(len(c.main_addresses) for c in clusters),
-        "deposit_addresses": sum(len(c.deposit_addresses) for c in clusters),
-        "labels": sorted(c.label for c in clusters),
-        "params": dataclasses.asdict(params),
-        "output": args.output,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    })
+    clusters, _coloring = _detect(graph, params, labels, args.output, args.coloring)
+    _emit(dict(
+        _detection_summary(clusters),
+        labels=sorted(c.label for c in clusters),
+        params=dataclasses.asdict(params),
+        output=args.output,
+        elapsed_s=round(time.perf_counter() - t0, 3),
+    ))
     return EXIT_OK
-
-
-def _verified_contraction(graph, coloring):
-    """Contract and cross-check against the independent implementation."""
-    contracted, assignment = contract(graph, coloring)
-    if not verify_contraction(contracted):
-        raise VerificationError("contracted graph is not properly colored")
-    other, other_assignment = oracle_contract(graph, coloring)
-    if canonical_form(contracted, assignment) != canonical_form(other, other_assignment):
-        raise VerificationError(
-            "independent contraction produced a different quotient graph"
-        )
-    return contracted, assignment
 
 
 def cmd_contract(args, config: dict) -> int:
@@ -238,25 +309,14 @@ def cmd_contract(args, config: dict) -> int:
             )
     else:
         coloring = Coloring.all_users(graph)
-    if args.verify:
-        contracted, assignment = _verified_contraction(graph, coloring)
-    else:
-        contracted, assignment = contract(graph, coloring)
-    labels = {}
-    if args.clusters:
-        labels = {c.cluster_id: c.label for c in load_clusters(args.clusters)}
-    meta = {
-        "before": graph_stats(graph).as_dict(),
-        "tool_version": __version__,
-        "verified": bool(args.verify),
-    }
-    save_contracted(contracted, assignment, args.output, labels=labels, meta=meta)
-    log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
+    clusters = load_clusters(args.clusters) if args.clusters else []
+    labels = {c.cluster_id: c.label for c in clusters}
+    contracted = _contract(graph, coloring, args.verify, args.output, labels, {})
     _emit({
         "order": contracted.order,
         "size": contracted.size,
         "intra_tx_count": contracted.total_intra_tx(),
-        "verified": bool(args.verify),
+        "verified": args.verify,
         "output": args.output,
         "elapsed_s": round(time.perf_counter() - t0, 3),
     })
@@ -264,18 +324,19 @@ def cmd_contract(args, config: dict) -> int:
 
 
 def cmd_analyze(args, config: dict) -> int:
-    opts = _stage_options(args, config, "analyze", {"bucket_cuts": None})
-    cuts = _parse_cuts(opts["bucket_cuts"]) if opts["bucket_cuts"] else DEFAULT_BUCKET_CUTS
+    cuts = _bucket_cuts(args, config)
     contracted, _assignment, meta, labels = load_contracted(args.contracted)
-    if "before" not in meta:
+    before = meta.get("before")
+    keys = {f.name for f in dataclasses.fields(GraphStats)}
+    if not (isinstance(before, dict) and before.keys() == keys
+            and all(type(v) is int for v in before.values())):
         raise ConfigError(
-            f"{args.contracted} holds no pre-contraction statistics; "
+            f"{args.contracted} holds no pre-contraction statistics in meta.json; "
             f"produce it with the contract or run command"
         )
-    before = GraphStats(**meta["before"])
+    before = GraphStats(**before)
     clusters = load_clusters(args.clusters) if args.clusters else []
-    report = build_report(before, contracted, clusters, cuts)
-    save_report(args.output, report, contracted, labels)
+    report = _analyze(before, contracted, clusters, cuts, args.output, labels)
     _emit({
         "output": args.output,
         "conservation": check_conservation(before, contracted),
@@ -335,108 +396,52 @@ def cmd_synth(args, config: dict) -> int:
 
 
 def cmd_run(args, config: dict) -> int:
-    ingest_opts = _stage_options(
-        args, config, "ingest", {"start_block": 0, "on_error": "fail"}
-    )
-    analyze_opts = _stage_options(args, config, "analyze", {"bucket_cuts": None})
-    cuts = (
-        _parse_cuts(analyze_opts["bucket_cuts"])
-        if analyze_opts["bucket_cuts"]
-        else DEFAULT_BUCKET_CUTS
-    )
+    ingest_opts = _ingest_options(args, config)
+    cuts = _bucket_cuts(args, config)
     run_opts = _stage_options(args, config, "run", {"detect": True, "verify": False})
     detect_enabled = bool(run_opts["detect"]) and not args.no_detect
     verify = bool(run_opts["verify"])
     params, labels_path = _detection_options(args, config)
+    params = params if detect_enabled else None
+    # read before ingesting, so a bad labels file leaves no partial output
+    labels = load_labels(labels_path) if params and labels_path else None
+    params_dict = dataclasses.asdict(params) if params else None
 
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
+    out = functools.partial(os.path.join, outdir)
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
 
-    t0 = time.perf_counter()
-    summary = IngestSummary()
     graph = AggregatedGraph()
-    transfers_path = os.path.join(outdir, TRANSFERS_FILE)
-    with open(args.input, "r", encoding="utf-8") as src, \
-            open(transfers_path, "w", encoding="utf-8") as dst:
-        for t in ingest(src, start_block=ingest_opts["start_block"],
-                        on_error=ingest_opts["on_error"], summary=summary):
-            dst.write(transfer_line(t))
-            dst.write("\n")
-            graph.add_transfer(t.sender, t.recipient, t.amount_planck)
-    timings["ingest_and_build"] = time.perf_counter() - t0
-    before = graph_stats(graph)
-    log.info("run: kept %d transfers, %d accounts, %d aggregated edges",
-             summary.kept, before.order, before.aggregated_size)
-
-    t0 = time.perf_counter()
-    save_graph(graph, os.path.join(outdir, GRAPH_DIR))
-    timings["save_graph"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if detect_enabled:
-        labels = load_labels(labels_path) if labels_path else None
-        clusters = detect_exchanges(graph, params, labels)
-    else:
-        clusters = []
-    save_clusters(os.path.join(outdir, CLUSTERS_FILE), clusters)
-    coloring = build_coloring(graph, clusters)
-    save_coloring(os.path.join(outdir, COLORING_FILE), coloring)
-    timings["detect"] = time.perf_counter() - t0
-    log.info("run: %d exchange clusters", len(clusters))
-
-    t0 = time.perf_counter()
-    if verify:
-        contracted, assignment = _verified_contraction(graph, coloring)
-    else:
-        contracted, assignment = contract(graph, coloring)
-    timings["contract"] = time.perf_counter() - t0
-
-    label_map = {c.cluster_id: c.label for c in clusters}
-    meta = {
-        "before": before.as_dict(),
-        "tool_version": __version__,
-        "detect": detect_enabled,
-        "params": dataclasses.asdict(params) if detect_enabled else None,
-        "verified": verify,
-    }
-    t0 = time.perf_counter()
-    save_contracted(contracted, assignment, os.path.join(outdir, CONTRACTED_DIR),
-                    labels=label_map, meta=meta)
-    timings["save_contracted"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    report = build_report(before, contracted, clusters, cuts)
-    save_report(os.path.join(outdir, REPORT_DIR), report, contracted, label_map)
-    timings["analyze"] = time.perf_counter() - t0
+    with _timed(timings, "ingest_and_build"):
+        summary = _ingest(args.input, out(TRANSFERS_FILE), ingest_opts, graph)
+    with _timed(timings, "save_graph"):
+        before = _save_graph(graph, out(GRAPH_DIR))
+    with _timed(timings, "detect"):
+        clusters, coloring = _detect(graph, params, labels,
+                                     out(CLUSTERS_FILE), out(COLORING_FILE))
+    cluster_labels = {c.cluster_id: c.label for c in clusters}
+    contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
+                           timings, detect=detect_enabled, params=params_dict)
+    with _timed(timings, "analyze"):
+        _analyze(before, contracted, clusters, cuts, out(REPORT_DIR), cluster_labels)
 
     manifest = {
         "tool": "fluxgraph",
         "version": __version__,
         "input": args.input,
-        "options": {
-            "start_block": ingest_opts["start_block"],
-            "on_error": ingest_opts["on_error"],
-            "detect": detect_enabled,
-            "verify": verify,
-            "params": dataclasses.asdict(params) if detect_enabled else None,
-            "labels": labels_path,
-            "bucket_cuts": list(cuts),
-        },
+        "options": dict(ingest_opts, detect=detect_enabled, verify=verify, params=params_dict,
+                        labels=labels_path, bucket_cuts=list(cuts)),
         "ingest": summary.as_dict(),
         "graph": before.as_dict(),
-        "detection": {
-            "clusters": len(clusters),
-            "main_addresses": sum(len(c.main_addresses) for c in clusters),
-            "deposit_addresses": sum(len(c.deposit_addresses) for c in clusters),
-        },
+        "detection": _detection_summary(clusters),
         "contraction": {"order": contracted.order, "size": contracted.size},
         "conservation": check_conservation(before, contracted),
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "total_s": round(time.perf_counter() - total0, 3),
     }
-    with open(os.path.join(outdir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
+    with open(out(MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -469,12 +474,6 @@ def _common_parent(with_config: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
-def _add_detection_flags(sp: argparse.ArgumentParser) -> None:
-    """One --flag per DetectionParams field, typed like its default."""
-    for name, default in _DETECT_DEFAULTS.items():
-        sp.add_argument("--" + name.replace("_", "-"), type=type(default), dest=name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxgraph",
@@ -485,13 +484,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     common = _common_parent()
+    # the flags of a stage, declared once for its command and for run
+    ingest_flags = argparse.ArgumentParser(add_help=False)
+    ingest_flags.add_argument("--start-block", type=int, dest="start_block")
+    ingest_flags.add_argument("--on-error", choices=["fail", "skip"], dest="on_error")
+    detect_flags = argparse.ArgumentParser(add_help=False)
+    detect_flags.add_argument("--labels", metavar="FILE",
+                              help="address,label CSV naming known main wallets")
+    for name, default in _DETECT_DEFAULTS.items():  # one per DetectionParams field
+        detect_flags.add_argument("--" + name.replace("_", "-"), type=type(default), dest=name)
+    analyze_flags = argparse.ArgumentParser(add_help=False)
+    analyze_flags.add_argument("--bucket-cuts", dest="bucket_cuts", metavar="N,N,...",
+                               help="upper bounds of the cluster-size buckets")
 
-    sp = sub.add_parser("ingest", parents=[common],
+    sp = sub.add_parser("ingest", parents=[common, ingest_flags],
                         help="filter a raw record stream down to kept transfers")
     sp.add_argument("--input", required=True, metavar="FILE")
     sp.add_argument("--output", required=True, metavar="FILE")
-    sp.add_argument("--start-block", type=int, dest="start_block")
-    sp.add_argument("--on-error", choices=["fail", "skip"], dest="on_error")
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("build", parents=[common],
@@ -506,15 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--top", type=int, default=20)
     sp.set_defaults(func=cmd_stats)
 
-    sp = sub.add_parser("detect", parents=[common],
+    sp = sub.add_parser("detect", parents=[common, detect_flags],
                         help="find exchange clusters via deposit-address reuse")
     sp.add_argument("--graph", required=True, metavar="DIR")
     sp.add_argument("--output", required=True, metavar="FILE")
     sp.add_argument("--coloring", metavar="FILE",
                     help="also write the node coloring CSV")
-    sp.add_argument("--labels", metavar="FILE",
-                    help="address,label CSV naming known main wallets")
-    _add_detection_flags(sp)
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("contract", parents=[common],
@@ -529,14 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cross-check with the independent implementation")
     sp.set_defaults(func=cmd_contract)
 
-    sp = sub.add_parser("analyze", parents=[common],
+    sp = sub.add_parser("analyze", parents=[common, analyze_flags],
                         help="build the flux partition, exchange table and "
                              "cluster-size report")
     sp.add_argument("--contracted", required=True, metavar="DIR")
     sp.add_argument("--clusters", metavar="FILE")
     sp.add_argument("--output", required=True, metavar="DIR")
-    sp.add_argument("--bucket-cuts", dest="bucket_cuts", metavar="N,N,...",
-                    help="upper bounds of the cluster-size buckets")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("synth", parents=[_common_parent(with_config=False)],
@@ -550,19 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write an example scenario config and exit")
     sp.set_defaults(func=cmd_synth)
 
-    sp = sub.add_parser("run", parents=[common],
+    sp = sub.add_parser("run", parents=[common, ingest_flags, detect_flags, analyze_flags],
                         help="run the whole pipeline into one output directory")
     sp.add_argument("--input", required=True, metavar="FILE")
     sp.add_argument("--output", required=True, metavar="DIR")
-    sp.add_argument("--labels", metavar="FILE")
-    sp.add_argument("--start-block", type=int, dest="start_block")
-    sp.add_argument("--on-error", choices=["fail", "skip"], dest="on_error")
     sp.add_argument("--no-detect", action="store_true", default=False,
                     help="skip exchange detection; contract user components only")
     sp.add_argument("--verify", action="store_true", default=None,
                     help="cross-check the contraction before reporting")
-    _add_detection_flags(sp)
-    sp.add_argument("--bucket-cuts", dest="bucket_cuts", metavar="N,N,...")
     sp.set_defaults(func=cmd_run)
 
     return parser

@@ -9,13 +9,14 @@ construction: an edge between two same-colored clusters is impossible,
 because that edge would have merged them.
 
 Two independent routes compute the quotient. contract() discovers
-clusters by breadth-first search over the monochromatic adjacency and
-is the production path. oracle_contract() re-derives everything from a
-plain disjoint-set forest and a full edge re-scan; it exists for tests
-and for the --verify pipeline flag, and stays deliberately naive. Both
-feed the same deterministic numbering rule, and canonical_form() keys
-clusters by their sorted member sets so outputs can be compared across
-processing orders, byte for byte.
+clusters by breadth-first search along the graph's own adjacency,
+following only same-colored neighbors, and is the production path.
+oracle_contract() re-derives everything from a plain disjoint-set
+forest and a full edge re-scan; it exists for tests and for the
+--verify pipeline flag, and stays deliberately naive. Both feed the
+same deterministic numbering rule, so equal quotients get equal ids.
+canonical_form() keys clusters by their sorted member sets so outputs
+can be compared across processing orders, byte for byte.
 
 Accounting is conserved exactly: member counts sum to the original
 order, intra plus cross transfer counts to the original transaction
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 from xml.etree import ElementTree
 
-from .errors import ConfigError, PartialColoringError
+from .errors import ConfigError, MalformedRecordError, PartialColoringError
 from .exchanges import Coloring
 from .graph import AggregatedGraph, EdgeAggregate
 from .tables import read_table, write_table
@@ -188,39 +188,22 @@ def contract(
     """
     colors = _checked_colors(graph, coloring)
 
-    mono_adj: dict[str, list[str]] = {}
-    for sender, recipient, _agg in graph.edges():
-        if sender != recipient and colors[sender] == colors[recipient]:
-            lst = mono_adj.get(sender)
-            if lst is None:
-                mono_adj[sender] = [recipient]
-            else:
-                lst.append(recipient)
-            lst = mono_adj.get(recipient)
-            if lst is None:
-                mono_adj[recipient] = [sender]
-            else:
-                lst.append(sender)
-
     component_of: dict[str, int] = {}
     components: list[list[str]] = []
     for seed in graph.nodes:
         if seed in component_of:
             continue
         idx = len(components)
-        if seed not in mono_adj:
-            component_of[seed] = idx
-            components.append([seed])
-            continue
+        color = colors[seed]
         members = [seed]
         component_of[seed] = idx
-        queue = deque((seed,))
-        while queue:
-            for nxt in mono_adj[queue.popleft()]:
-                if nxt not in component_of:
-                    component_of[nxt] = idx
-                    members.append(nxt)
-                    queue.append(nxt)
+        # breadth first: members grows while it is walked
+        for node in members:
+            for near in (graph.out_edges(node), graph.in_edges(node)):
+                for nxt in near:
+                    if nxt not in component_of and colors[nxt] == color:
+                        component_of[nxt] = idx
+                        members.append(nxt)
         components.append(members)
 
     return _build_quotient(graph, component_of, components, colors)
@@ -498,5 +481,14 @@ def load_contracted(
     meta: dict = {}
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(exc.msg, exc.lineno, meta_path) from None
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(
+                    f"not UTF-8 at or after this line ({exc.reason})", 1, meta_path
+                ) from None
+        if not isinstance(meta, dict):
+            raise MalformedRecordError("expected a JSON object", 1, meta_path)
     return contracted, assignment, meta, labels

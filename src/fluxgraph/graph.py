@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, KeysView, Optional
 
 from .errors import UnknownAccountError
 from .records import TransferRecord
@@ -46,7 +46,6 @@ class AggregatedGraph:
     def __init__(self):
         self._out: dict[str, dict[str, EdgeAggregate]] = {}
         self._in: dict[str, dict[str, EdgeAggregate]] = {}
-        self._nodes: set[str] = set()
         self._edge_count = 0
         self._tx_count = 0
         self._flux = 0
@@ -54,8 +53,7 @@ class AggregatedGraph:
     # -- construction -------------------------------------------------
 
     def add_node(self, account: str) -> None:
-        if account not in self._nodes:
-            self._nodes.add(account)
+        if account not in self._out:
             self._out[account] = {}
             self._in[account] = {}
 
@@ -88,12 +86,12 @@ class AggregatedGraph:
     # -- inspection ----------------------------------------------------
 
     @property
-    def nodes(self) -> set[str]:
-        return self._nodes
+    def nodes(self) -> KeysView[str]:
+        return self._out.keys()
 
     @property
     def order(self) -> int:
-        return len(self._nodes)
+        return len(self._out)
 
     @property
     def aggregated_size(self) -> int:
@@ -129,7 +127,7 @@ class AggregatedGraph:
             raise UnknownAccountError(account) from None
 
     def has_node(self, account: str) -> bool:
-        return account in self._nodes
+        return account in self._out
 
     def neighbors(self, account: str) -> set[str]:
         """Distinct accounts adjacent in either direction, excluding self."""

@@ -37,6 +37,7 @@ from typing import Callable, Iterable
 
 from .errors import ConfigError
 from .exchanges import DetectionParams, LABELS_HEADER
+from .tables import write_table
 
 CAT_INTRA_EXCHANGE = "intra_exchange"
 CAT_INTER_EXCHANGE = "inter_exchange"
@@ -252,10 +253,8 @@ def save_ground_truth(truth: GroundTruth, directory: str) -> None:
     with open(os.path.join(directory, GROUND_TRUTH_FILE), "w", encoding="utf-8") as fh:
         json.dump(truth.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(directory, LABELS_FILE), "w", encoding="utf-8") as fh:
-        fh.write(",".join(LABELS_HEADER) + "\n")
-        for address in sorted(truth.labels):
-            fh.write(f"{address},{truth.labels[address]}\n")
+    write_table(os.path.join(directory, LABELS_FILE), LABELS_HEADER,
+                sorted(truth.labels.items()))
 
 
 def load_ground_truth(directory: str) -> GroundTruth:

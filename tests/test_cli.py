@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +94,41 @@ class TestExitCodes:
                          "--labels", str(tmp_path / "absent.csv"), "--quiet"])
         assert code == cli.EXIT_IO
 
+    def test_missing_labels_file_fails_before_ingest(self, tmp_path, ledger):
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        code = cli.main(["run", "--input", path, "--output", str(out),
+                         "--labels", str(tmp_path / "absent.csv"), "--quiet"])
+        assert code == cli.EXIT_IO
+        assert not (out / "transfers.jsonl").exists()
+        assert not (out / "graph").exists()
+
+    @pytest.mark.parametrize("command", ["run", "contract"])
+    def test_disagreeing_oracle_fails_verification(self, tmp_path, ledger, monkeypatch,
+                                                   capsys, command):
+        root, path, _ = ledger
+        out = tmp_path / "out"
+        labels = os.path.join(str(root), "labels.csv")
+        if command == "contract":
+            assert run_pipeline(path, out, labels=labels) == cli.EXIT_OK
+        oracle = cli.oracle_contract
+
+        def off_by_one(graph, coloring):
+            contracted, assignment = oracle(graph, coloring)
+            next(iter(contracted.edges.values())).multiplicity += 1
+            return contracted, assignment
+
+        monkeypatch.setattr(cli, "oracle_contract", off_by_one)
+        if command == "run":
+            code = run_pipeline(path, out, labels=labels, extra=["--verify"])
+        else:
+            code = cli.main(["contract", "--graph", str(out / "graph"),
+                             "--coloring", str(out / "coloring.csv"),
+                             "--output", str(tmp_path / "contracted"),
+                             "--verify", "--quiet"])
+        assert code == cli.EXIT_VERIFY
+        assert "different quotient" in capsys.readouterr().err
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         code = cli.main(["synth", "--scenario", str(tmp_path / "absent.json"),
                          "--output", str(tmp_path / "x.jsonl"), "--quiet"])
@@ -113,6 +150,22 @@ class TestExitCodes:
         code = cli.main(["analyze", "--contracted", str(out / "contracted"),
                          "--output", str(tmp_path / "report"), "--quiet"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("meta, code", [
+        (b"{bad", cli.EXIT_MALFORMED),
+        (b'{"before": "\xff"}', cli.EXIT_MALFORMED),
+        (b"[1]", cli.EXIT_MALFORMED),
+        (b'{"before": {"order": 1}}', cli.EXIT_CONFIG),
+    ])
+    def test_analyze_on_bad_meta(self, tmp_path, ledger, capsys, meta, code):
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        assert run_pipeline(path, out, extra=["--no-detect"]) == cli.EXIT_OK
+        (out / "contracted" / "meta.json").write_bytes(meta)
+        assert cli.main(["analyze", "--contracted", str(out / "contracted"),
+                         "--output", str(tmp_path / "report"), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert "meta.json" in err and "Traceback" not in err
 
 
 def write_graph(directory, edge_rows):
@@ -358,3 +411,16 @@ class TestSynthCommand:
                          str(b), "--seed", "99", "--quiet"]) == cli.EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
+
+
+def test_bench_tracer_installs():
+    """bench/spans.py wraps layer functions by their names on the cli
+    module; one that cli stops importing would break every traced run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = ("import sys; sys.path[:0] = sys.argv[1:]; "
+              "import spans; spans.install(spans.Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(root, "bench"), os.path.join(root, "src")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

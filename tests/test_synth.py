@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fluxgraph.errors import ConfigError
-from fluxgraph.exchanges import detect_exchanges
+from fluxgraph.exchanges import detect_exchanges, load_labels
 from fluxgraph.graph import AggregatedGraph
 from fluxgraph.records import IngestSummary, ingest, parse_extrinsic_line
 from fluxgraph.synth import (
@@ -185,6 +185,15 @@ class TestGroundTruthAccounting:
         labels = (tmp_path / "labels.csv").read_text().splitlines()
         assert labels[0] == "address,label"
         assert len(labels) == 1 + len(truth.labels)
+
+    def test_label_with_comma_round_trips(self, tmp_path):
+        _, truth = generate(small_scenario(exchanges=[
+            ExchangeSpec(label="ze,ta", main_wallets=1, deposit_addresses=100,
+                         deposit_rounds=2, withdrawals=3),
+        ]))
+        save_ground_truth(truth, str(tmp_path))
+        assert load_labels(str(tmp_path / "labels.csv")) == truth.labels
+        assert set(truth.labels.values()) == {"ze,ta"}
 
 
 class TestDetectabilityGuard:
