@@ -25,14 +25,12 @@ from .errors import (
 from .records import (
     PLANCK_PER_DOT,
     POLKADOT_TRANSFER_START_BLOCK,
-    ExtrinsicRecord,
     IngestSummary,
     TransferRecord,
     dot_to_planck,
-    filter_transfer,
     ingest,
     is_transfer_call,
-    parse_extrinsic_line,
+    parse_record,
     read_transfers,
     write_transfers,
 )
@@ -101,8 +99,7 @@ __all__ = [
     "UnknownAccountError", "LabelFileError", "ClusterOverlapError",
     "PartialColoringError", "ConsistencyError", "VerificationError",
     "PLANCK_PER_DOT", "POLKADOT_TRANSFER_START_BLOCK",
-    "ExtrinsicRecord", "TransferRecord", "IngestSummary",
-    "parse_extrinsic_line", "filter_transfer", "ingest", "is_transfer_call",
+    "TransferRecord", "IngestSummary", "parse_record", "ingest", "is_transfer_call",
     "dot_to_planck", "read_transfers", "write_transfers",
     "AggregatedGraph", "EdgeAggregate", "GraphStats", "build_graph",
     "degree_centrality_ranking", "graph_stats", "save_graph", "load_graph",

@@ -20,13 +20,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .contraction import ClusterAssignment, ContractedGraph
+from .contraction import ContractedGraph
 from .errors import ConfigError, ConsistencyError
 from .exchanges import ExchangeCluster
 from .graph import GraphStats
 from .tables import write_table
-
-PLANCK_PER_DOT = 10**10
 
 DEFAULT_BUCKET_CUTS = (1, 2, 3, 10, 100, 421)
 

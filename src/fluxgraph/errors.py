@@ -13,17 +13,21 @@ class MalformedRecordError(FluxGraphError):
     """A ledger record line or a CSV row could not be parsed.
 
     Carries the 1-based line number (None when parsing a bare string),
-    the file path when known, and a human-readable reason.
+    the file path when known (it may be set after construction, by the
+    reader that knows the file), and a human-readable reason.
     """
 
     def __init__(self, reason: str, line_no=None, path=None):
+        super().__init__(reason)
         self.reason = reason
         self.line_no = line_no
         self.path = path
-        where = f"line {line_no}: " if line_no is not None else ""
-        if path is not None:
-            where = f"{path}:{line_no}: "
-        super().__init__(f"{where}{reason}")
+
+    def __str__(self) -> str:
+        where = f"line {self.line_no}: " if self.line_no is not None else ""
+        if self.path is not None:
+            where = f"{self.path}:{self.line_no}: "
+        return where + self.reason
 
 
 class MissingFieldError(MalformedRecordError):

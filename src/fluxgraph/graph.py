@@ -10,7 +10,7 @@ neighborhood scans used by the exchange heuristics are O(degree).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, KeysView, Optional
 
 from .errors import UnknownAccountError
@@ -32,12 +32,7 @@ class GraphStats:
     total_flux: int
 
     def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "aggregated_size": self.aggregated_size,
-            "transaction_count": self.transaction_count,
-            "total_flux": self.total_flux,
-        }
+        return asdict(self)
 
 
 class AggregatedGraph:

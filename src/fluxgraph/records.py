@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, MalformedRecordError, MissingFieldError
 
@@ -29,21 +29,6 @@ TRANSFER_CALL_IDS = frozenset({"transfer", "transfer_keep_alive", "transfer_all"
 # First block of the account-based transfer era on Polkadot-shaped data;
 # synthetic ledgers start at 0.
 POLKADOT_TRANSFER_START_BLOCK = 1_205_128
-
-
-@dataclass(slots=True)
-class ExtrinsicRecord:
-    """One decoded ledger record, prior to any filtering."""
-
-    block_number: int
-    timestamp: int
-    module_id: str
-    call_id: str
-    signed: bool
-    success: bool
-    sender: Optional[str] = None
-    recipient: Optional[str] = None
-    amount_planck: int = 0
 
 
 @dataclass(slots=True)
@@ -63,7 +48,7 @@ class TransferRecord:
             raise ValueError("transfer endpoints must be non-empty")
 
 
-# Why a parsed record is dropped, in the order classify_record tests them.
+# Why a well-formed record is dropped, in the order parse_record tests them.
 DROP_REASONS = ("below_start_block", "non_transfer", "unsigned", "failed", "zero_amount")
 
 
@@ -127,12 +112,18 @@ def _take(obj: dict, key: str, kind, line_no) -> object:
     return value
 
 
-def parse_extrinsic_line(line: str, line_no: int | None = None) -> ExtrinsicRecord:
-    """Parse one record line.
+def parse_record(
+    line: str, line_no: int | None = None, start_block: int = 0
+) -> TransferRecord | str:
+    """Parse one record line into the kept transfer, or why it is dropped.
 
-    Raises MalformedRecordError (with the originating line number when
-    given) on syntax errors, bad field types, conflicting amount fields
-    or a transfer-shaped record lacking its endpoints.
+    Every field is validated first, so a dropped record must still be
+    well-formed: MalformedRecordError (with the line number when given)
+    on syntax errors, bad field types, conflicting amount fields or a
+    transfer-shaped record lacking its endpoints or amount. The drop
+    reason is the first of DROP_REASONS the record meets: a block below
+    start_block; not a Balances transfer call; unsigned; failed; a zero
+    amount.
     """
     try:
         obj = json.loads(line)
@@ -177,7 +168,8 @@ def parse_extrinsic_line(line: str, line_no: int | None = None) -> ExtrinsicReco
     else:
         amount = 0
 
-    if is_transfer_call(module_id, call_id):
+    transfer = is_transfer_call(module_id, call_id)
+    if transfer:
         # transfer-shaped records must name both endpoints and an amount
         if sender is None:
             raise MissingFieldError("sender", line_no=line_no)
@@ -186,54 +178,17 @@ def parse_extrinsic_line(line: str, line_no: int | None = None) -> ExtrinsicReco
         if not has_planck and not has_dot:
             raise MissingFieldError("amount_planck", line_no=line_no)
 
-    return ExtrinsicRecord(
-        block_number=block_number,
-        timestamp=timestamp,
-        module_id=module_id,
-        call_id=call_id,
-        signed=signed,
-        success=success,
-        sender=sender,
-        recipient=recipient,
-        amount_planck=amount,
-    )
-
-
-def classify_record(
-    record: ExtrinsicRecord, start_block: int = 0
-) -> TransferRecord | str:
-    """Return the kept transfer a record yields, or why it is dropped.
-
-    The reason is the first of DROP_REASONS the record meets: a block
-    below start_block; not a Balances transfer call, or an endpoint
-    missing; unsigned; failed; a non-positive amount. Pure function;
-    never raises on a well-formed ExtrinsicRecord.
-    """
-    if record.block_number < start_block:
+    if block_number < start_block:
         return "below_start_block"
-    if not is_transfer_call(record.module_id, record.call_id):
+    if not transfer:
         return "non_transfer"
-    if not record.sender or not record.recipient:
-        return "non_transfer"
-    if not record.signed:
+    if not signed:
         return "unsigned"
-    if not record.success:
+    if not success:
         return "failed"
-    if record.amount_planck <= 0:
+    if amount == 0:
         return "zero_amount"
-    return TransferRecord(
-        sender=record.sender,
-        recipient=record.recipient,
-        amount_planck=record.amount_planck,
-        block_number=record.block_number,
-        timestamp=record.timestamp,
-    )
-
-
-def filter_transfer(record: ExtrinsicRecord) -> Optional[TransferRecord]:
-    """Return a TransferRecord when the record is a kept transfer, else None."""
-    kept = classify_record(record)
-    return None if isinstance(kept, str) else kept
+    return TransferRecord(sender, recipient, amount, block_number, timestamp)
 
 
 def ingest(
@@ -246,30 +201,39 @@ def ingest(
 
     Records below start_block are dropped. on_error is "fail" (raise on
     the first malformed line, with its line number) or "skip" (count the
-    line and continue). Pass a summary to observe counts, per drop
-    reason; it is complete once iteration finishes.
-    Blank lines are ignored.
+    line and continue). When lines is an open file, errors name its
+    path, and bytes that are not UTF-8 raise MalformedRecordError under
+    either mode. Pass a summary to observe counts, per drop reason; it
+    is complete once iteration finishes. Blank lines are ignored.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
     s = summary if summary is not None else IngestSummary()
-    for line_no, line in enumerate(lines, 1):
-        if not line or line.isspace():
-            continue
-        try:
-            record = parse_extrinsic_line(line, line_no=line_no)
-        except MalformedRecordError:
-            if on_error == "fail":
-                raise
-            s.error_lines += 1
-            continue
-        s.parsed += 1
-        kept = classify_record(record, start_block)
-        if isinstance(kept, str):
-            setattr(s, kept, getattr(s, kept) + 1)
-            continue
-        s.kept += 1
-        yield kept
+    path = getattr(lines, "name", None)
+    line_no = 0
+    try:
+        for line_no, line in enumerate(lines, 1):
+            if not line or line.isspace():
+                continue
+            try:
+                kept = parse_record(line, line_no, start_block)
+            except MalformedRecordError as exc:
+                if on_error == "fail":
+                    exc.path = path
+                    raise
+                s.error_lines += 1
+                continue
+            s.parsed += 1
+            if isinstance(kept, str):
+                setattr(s, kept, getattr(s, kept) + 1)
+                continue
+            s.kept += 1
+            yield kept
+    except UnicodeDecodeError as exc:
+        # text is decoded in chunks, so the bad byte may lie a few lines on
+        raise MalformedRecordError(
+            f"not UTF-8 at or after this line ({exc.reason})", line_no + 1, path
+        ) from None
 
 
 def transfer_line(t: TransferRecord) -> str:
@@ -303,5 +267,4 @@ def read_transfers(path: str) -> Iterator[TransferRecord]:
     """Read back a transfer file written by write_transfers (or any ledger
     file containing only kept transfers)."""
     with open(path, "r", encoding="utf-8") as fh:
-        summary = IngestSummary()
-        yield from ingest(fh, start_block=0, on_error="fail", summary=summary)
+        yield from ingest(fh)

@@ -31,9 +31,9 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import ConfigError
 from .exchanges import DetectionParams, LABELS_HEADER
@@ -145,12 +145,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    out = {f.name: getattr(config, f.name) for f in dataclass_fields(ScenarioConfig)}
-    out["exchanges"] = [
-        {f.name: getattr(spec, f.name) for f in dataclass_fields(ExchangeSpec)}
-        for spec in config.exchanges
-    ]
-    return out
+    return asdict(config)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -159,7 +154,7 @@ def load_config(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"scenario config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
 
@@ -193,55 +188,11 @@ class GroundTruth:
     inter_exchange_matrix: dict[str, dict[str, int]]
 
     def as_dict(self) -> dict:
-        return {
-            "labels": dict(sorted(self.labels.items())),
-            "exchanges": [
-                {"label": e.label, "mains": e.mains, "deposits": e.deposits}
-                for e in self.exchanges
-            ],
-            "traders": self.traders,
-            "organic_users": self.organic_users,
-            "category_totals": {k: dict(v) for k, v in sorted(self.category_totals.items())},
-            "transfer_count": self.transfer_count,
-            "total_flux": self.total_flux,
-            "record_count": self.record_count,
-            "noise_records": self.noise_records,
-            "failed_records": self.failed_records,
-            "zero_amount_records": self.zero_amount_records,
-            "transacting_accounts": self.transacting_accounts,
-            "aggregated_edge_count": self.aggregated_edge_count,
-            "user_component_sizes": self.user_component_sizes,
-            "per_exchange_intra": {
-                k: dict(v) for k, v in sorted(self.per_exchange_intra.items())
-            },
-            "inter_exchange_matrix": {
-                k: dict(v) for k, v in sorted(self.inter_exchange_matrix.items())
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruth":
-        return cls(
-            labels=data["labels"],
-            exchanges=[
-                PlantedExchange(e["label"], e["mains"], e["deposits"])
-                for e in data["exchanges"]
-            ],
-            traders=data["traders"],
-            organic_users=data["organic_users"],
-            category_totals=data["category_totals"],
-            transfer_count=data["transfer_count"],
-            total_flux=data["total_flux"],
-            record_count=data["record_count"],
-            noise_records=data["noise_records"],
-            failed_records=data["failed_records"],
-            zero_amount_records=data["zero_amount_records"],
-            transacting_accounts=data["transacting_accounts"],
-            aggregated_edge_count=data["aggregated_edge_count"],
-            user_component_sizes=data["user_component_sizes"],
-            per_exchange_intra=data["per_exchange_intra"],
-            inter_exchange_matrix=data["inter_exchange_matrix"],
-        )
+        return cls(**dict(data, exchanges=[PlantedExchange(**e) for e in data["exchanges"]]))
 
 
 GROUND_TRUTH_FILE = "ground_truth.json"

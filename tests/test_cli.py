@@ -129,6 +129,23 @@ class TestExitCodes:
         assert code == cli.EXIT_VERIFY
         assert "different quotient" in capsys.readouterr().err
 
+    def test_non_utf8_pipeline_config(self, tmp_path, ledger, capsys):
+        _, path, _ = ledger
+        bad = tmp_path / "pipeline.json"
+        bad.write_bytes(b'{"ingest": {"on_error": "\xff"}}')
+        code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
+                         "--config", str(bad), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert "pipeline.json" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "scenario.json"
+        bad.write_bytes(b'{"user_count": 5, "exchanges": [{"label": "\xff"}]}')
+        code = cli.main(["synth", "--scenario", str(bad),
+                         "--output", str(tmp_path / "x.jsonl"), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert "scenario.json" in capsys.readouterr().err
+
     def test_missing_scenario_is_config_error(self, tmp_path):
         code = cli.main(["synth", "--scenario", str(tmp_path / "absent.json"),
                          "--output", str(tmp_path / "x.jsonl"), "--quiet"])
@@ -216,6 +233,41 @@ class TestMalformedFiles:
                          "--output", str(tmp_path / "clusters.csv"), "--quiet"])
         assert code == cli.EXIT_MALFORMED
         assert "labels.csv:3:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--output", "out.jsonl", "--on-error", "fail"],
+        ["ingest", "--output", "out.jsonl", "--on-error", "skip"],
+        ["run", "--output", "out", "--on-error", "fail"],
+        ["run", "--output", "out", "--on-error", "skip"],
+        ["build", "--output", "graph"],
+    ])
+    def test_non_utf8_record_file(self, tmp_path, ledger, capsys, monkeypatch, argv):
+        _, path, _ = ledger
+        with open(path, "rb") as src:
+            good = src.readline()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(good + b"\xff\n" + good)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(argv + ["--input", str(bad), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"{bad}:1: not UTF-8 at or after this line" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ingest", "build"])
+    def test_record_error_names_file(self, tmp_path, ledger, capsys, command):
+        _, path, _ = ledger
+        with open(path, "r", encoding="utf-8") as src:
+            good = json.loads(src.readline())
+        del good["timestamp"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n")
+        code = cli.main([command, "--input", str(bad),
+                         "--output", str(tmp_path / "out"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert (f"error: {bad}:1: missing mandatory field 'timestamp'"
+                in capsys.readouterr().err)
 
 
 def run_pipeline(path, outdir, labels=None, extra=()):

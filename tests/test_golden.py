@@ -4,6 +4,7 @@ One `run --verify` and one pass through the five stage commands write
 every artifact the CLI produces. Their sha256 digests are pinned here,
 so any change to a writer that moves a single byte fails this module.
 manifest.json is left out because its timing fields vary between runs.
+The generator's ledger, ground truth, labels and template are pinned too.
 """
 
 import hashlib
@@ -60,6 +61,17 @@ ARTIFACT_DIGESTS = {
         "f7c8c9c8a4788833b367189dde0943d8dd24eeb02c22051ca07b99f83b5d0120",
     "transfers.jsonl":
         "05f29c77ef1f6a0f66f5a5a439b6b50603d5b95d96958265ae42b43483d07b01",
+}
+# the generator's own outputs for SCENARIO, and the synth --template file
+SYNTH_DIGESTS = {
+    "ledger.jsonl":
+        "016940b9492d57d8327944a267dab810214a7e60c5e35c76c5f09060dfcfc616",
+    "ground_truth.json":
+        "9e45b5c089f3ba94a5fcd3bdc36f768b4eacc2befcbd3f897a8a330efa1bc284",
+    "labels.csv":
+        "051beae51497df4e3885d96976c613faae709c3a7388e6410294bd4bcb5dbb10",
+    "template.json":
+        "476d146bb4cca5ae648bdefc0af95b94fa8b0c6771704e8d0840fed35a35d57b",
 }
 # meta.json records how the quotient was made, so the two routes differ there
 RUN_META_DIGEST = "0b70c6e289ba5cc6309b1b3a92d7de1b221e9cc16481676b8c678e859ddd7c3b"
@@ -120,3 +132,18 @@ def test_run_verify_artifacts_are_pinned(ledger, tmp_path):
 def test_stage_artifacts_are_pinned(ledger, tmp_path):
     assert staged(ledger, tmp_path / "staged") == dict(
         ARTIFACT_DIGESTS, **{"contracted/meta.json": STAGED_META_DIGEST})
+
+
+def test_synth_outputs_are_pinned(ledger, tmp_path):
+    path, labels = ledger
+    template = tmp_path / "template.json"
+    assert cli.main(["synth", "--template", str(template), "--quiet"]) == cli.EXIT_OK
+    root = os.path.dirname(path)
+    files = {name: os.path.join(root, name)
+             for name in ("ledger.jsonl", "ground_truth.json", "labels.csv")}
+    files["template.json"] = str(template)
+    got = {}
+    for name, full in files.items():
+        with open(full, "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == SYNTH_DIGESTS

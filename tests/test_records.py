@@ -1,4 +1,4 @@
-"""Record parsing, amount conversion and the transfer filter."""
+"""Record parsing, amount conversion and drop reasons."""
 
 import json
 
@@ -11,10 +11,9 @@ from fluxgraph.records import (
     IngestSummary,
     TransferRecord,
     dot_to_planck,
-    filter_transfer,
     ingest,
     is_transfer_call,
-    parse_extrinsic_line,
+    parse_record,
     read_transfers,
     transfer_line,
     write_transfers,
@@ -88,55 +87,47 @@ class TestIsTransferCall:
 
 class TestParse:
     def test_full_record(self):
-        rec = parse_extrinsic_line(record_line())
-        assert rec.block_number == 100
-        assert rec.module_id == "Balances"
-        assert rec.sender == "alice"
-        assert rec.amount_planck == 42
+        assert parse_record(record_line()) == TransferRecord(
+            "alice", "bob", 42, 100, 1_600_000_000_000)
 
     def test_amount_dot_converted(self):
-        rec = parse_extrinsic_line(
-            record_line(amount_planck=..., amount_dot="2.5")
-        )
-        assert rec.amount_planck == 25_000_000_000
+        t = parse_record(record_line(amount_planck=..., amount_dot="2.5"))
+        assert t.amount_planck == 25_000_000_000
 
     def test_both_amount_fields_rejected(self):
         with pytest.raises(MalformedRecordError):
-            parse_extrinsic_line(record_line(amount_dot="1"))
+            parse_record(record_line(amount_dot="1"))
 
     def test_non_transfer_without_amount(self):
-        rec = parse_extrinsic_line(
-            record_line(module_id="Staking", call_id="bond",
-                        sender=..., recipient=..., amount_planck=...)
-        )
-        assert rec.amount_planck == 0
-        assert rec.sender is None
+        line = record_line(module_id="Staking", call_id="bond",
+                           sender=..., recipient=..., amount_planck=...)
+        assert parse_record(line) == "non_transfer"
 
     def test_transfer_missing_endpoint(self):
         with pytest.raises(MissingFieldError):
-            parse_extrinsic_line(record_line(recipient=...))
+            parse_record(record_line(recipient=...))
 
     def test_transfer_missing_amount(self):
         with pytest.raises(MissingFieldError):
-            parse_extrinsic_line(record_line(amount_planck=...))
+            parse_record(record_line(amount_planck=...))
 
     def test_missing_mandatory_field(self):
         with pytest.raises(MissingFieldError):
-            parse_extrinsic_line(record_line(signed=...))
+            parse_record(record_line(signed=...))
 
     def test_invalid_json_carries_line_number(self):
         with pytest.raises(MalformedRecordError) as exc:
-            parse_extrinsic_line("{oops", line_no=7)
+            parse_record("{oops", line_no=7)
         assert exc.value.line_no == 7
         assert "line 7" in str(exc.value)
 
     def test_non_object_rejected(self):
         with pytest.raises(MalformedRecordError):
-            parse_extrinsic_line("[1, 2]")
+            parse_record("[1, 2]")
 
     def test_bool_is_not_an_integer(self):
         with pytest.raises(MalformedRecordError):
-            parse_extrinsic_line(record_line(block_number=True))
+            parse_record(record_line(block_number=True))
 
     def test_wrong_types_rejected(self):
         for overrides in (
@@ -147,30 +138,29 @@ class TestParse:
             {"block_number": -1},
         ):
             with pytest.raises(MalformedRecordError):
-                parse_extrinsic_line(record_line(**overrides))
+                parse_record(record_line(**overrides))
 
     def test_unknown_fields_ignored(self):
-        rec = parse_extrinsic_line(record_line(fee=12, era="mortal"))
-        assert rec.amount_planck == 42
+        assert parse_record(record_line(fee=12, era="mortal")).amount_planck == 42
 
 
 class TestFilter:
     def test_kept(self):
-        rec = parse_extrinsic_line(record_line())
-        t = filter_transfer(rec)
+        t = parse_record(record_line())
         assert t == TransferRecord("alice", "bob", 42, 100, 1_600_000_000_000)
 
     def test_drop_reasons(self):
         dropped = [
-            record_line(module_id="Staking", call_id="bond",
-                        sender=..., recipient=..., amount_planck=...),
-            record_line(call_id="force_transfer"),
-            record_line(signed=False),
-            record_line(success=False),
-            record_line(amount_planck=0),
+            (record_line(module_id="Staking", call_id="bond",
+                         sender=..., recipient=..., amount_planck=...), "non_transfer"),
+            (record_line(call_id="force_transfer"), "non_transfer"),
+            (record_line(signed=False), "unsigned"),
+            (record_line(success=False), "failed"),
+            (record_line(amount_planck=0), "zero_amount"),
+            (record_line(block_number=99), "below_start_block"),
         ]
-        for line in dropped:
-            assert filter_transfer(parse_extrinsic_line(line)) is None
+        for line, reason in dropped:
+            assert parse_record(line, start_block=100) == reason
 
     def test_transfer_record_validates(self):
         with pytest.raises(ValueError):
@@ -222,6 +212,16 @@ class TestIngest:
         assert len(kept) == 2
         assert summary.error_lines == 2
         assert summary.parsed == 2
+
+    def test_malformed_record_below_start_block(self):
+        lines = [record_line(), record_line(block_number=5, amount_planck="7")]
+        with pytest.raises(MalformedRecordError) as exc:
+            list(ingest(lines, start_block=50))
+        assert exc.value.line_no == 2
+        summary = IngestSummary()
+        kept = list(ingest(lines, start_block=50, on_error="skip", summary=summary))
+        assert len(kept) == 1
+        assert (summary.error_lines, summary.parsed, summary.below_start_block) == (1, 1, 0)
 
     def test_bad_on_error_value(self):
         from fluxgraph.errors import ConfigError
