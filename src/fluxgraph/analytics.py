@@ -15,7 +15,6 @@ refuses to produce output when they do not.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -24,7 +23,7 @@ from .contraction import ContractedGraph
 from .errors import ConfigError, ConsistencyError
 from .exchanges import ExchangeCluster
 from .graph import GraphStats
-from .tables import write_table
+from .tables import atomic_output, write_json, write_table
 
 DEFAULT_BUCKET_CUTS = (1, 2, 3, 10, 100, 421)
 
@@ -462,18 +461,15 @@ CLUSTER_SIZES_CSV = "cluster_sizes.csv"
 def save_report(
     directory: str,
     report: NetworkReport,
-    contracted: ContractedGraph | None = None,
-    cluster_labels: dict[int, str] | None = None,
+    contracted: ContractedGraph,
+    cluster_labels: dict[int, str],
 ) -> None:
     """Write report.json, report.txt, and the plot-data CSVs (category
     partition, inter-exchange edge list, exact cluster-size counts)."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, REPORT_JSON), "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(directory, REPORT_TEXT), "w", encoding="utf-8") as fh:
+    write_json(os.path.join(directory, REPORT_JSON), report.as_dict())
+    with atomic_output(os.path.join(directory, REPORT_TEXT)) as fh:
         fh.write(render_report_text(report))
-
     write_table(
         os.path.join(directory, PARTITION_CSV),
         ["category", "tx_count", "flux_planck", "tx_pct", "flux_pct"],
@@ -488,16 +484,14 @@ def save_report(
         ["cluster_size", "cluster_count"],
         sorted(report.histogram.size_counts.items()),
     )
-    if contracted is not None:
-        labels = cluster_labels or {}
-        nodes = contracted.nodes
-        write_table(
-            os.path.join(directory, EXCHANGE_EDGES_CSV),
-            ["src_label", "dst_label", "flux_planck", "multiplicity"],
-            (
-                [labels.get(src, str(src)), labels.get(dst, str(dst)),
-                 agg.flux, agg.multiplicity]
-                for (src, dst), agg in sorted(contracted.edges.items())
-                if nodes[src].color >= 1 and nodes[dst].color >= 1
-            ),
-        )
+    nodes = contracted.nodes
+    write_table(
+        os.path.join(directory, EXCHANGE_EDGES_CSV),
+        ["src_label", "dst_label", "flux_planck", "multiplicity"],
+        (
+            [cluster_labels.get(src, str(src)), cluster_labels.get(dst, str(dst)),
+             agg.flux, agg.multiplicity]
+            for (src, dst), agg in sorted(contracted.edges.items())
+            if nodes[src].color >= 1 and nodes[dst].color >= 1
+        ),
+    )

@@ -70,6 +70,7 @@ from .graph import (
     save_graph,
 )
 from .records import IngestSummary, ingest, read_transfers, transfer_line, write_transfers
+from .tables import write_json
 from . import synth as synthmod
 
 log = logging.getLogger("fluxgraph")
@@ -367,9 +368,7 @@ _TEMPLATE_SCENARIO = synthmod.ScenarioConfig(
 
 def cmd_synth(args, config: dict) -> int:
     if args.template:
-        with open(args.template, "w", encoding="utf-8") as fh:
-            json.dump(synthmod.config_to_dict(_TEMPLATE_SCENARIO), fh, indent=2)
-            fh.write("\n")
+        write_json(args.template, synthmod.config_to_dict(_TEMPLATE_SCENARIO), sort_keys=False)
         _emit({"template": args.template})
         return EXIT_OK
     if not args.scenario or not args.output:
@@ -441,9 +440,7 @@ def cmd_run(args, config: dict) -> int:
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "total_s": round(time.perf_counter() - total0, 3),
     }
-    with open(out(MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out(MANIFEST_FILE), manifest)
 
     _emit({
         "output": outdir,

@@ -28,13 +28,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
-from xml.etree import ElementTree
+from typing import Mapping
 
 from .errors import ConfigError, MalformedRecordError, PartialColoringError
 from .exchanges import Coloring
 from .graph import AggregatedGraph, EdgeAggregate
-from .tables import read_table, write_table
+from .tables import atomic_output, read_table, write_json, write_table
 
 ClusterAssignment = dict[str, int]
 
@@ -345,75 +344,66 @@ _EDGES_HEADER = ["src_cluster", "dst_cluster", "flux_planck", "multiplicity"]
 _ASSIGNMENT_HEADER = ["address", "cluster_id"]
 
 
-def _write_graphml(
-    path: str, contracted: ContractedGraph, labels: Mapping[int, str]
-) -> None:
-    ns = "http://graphml.graphdrawing.org/xmlns"
-    ElementTree.register_namespace("", ns)
-    root = ElementTree.Element(f"{{{ns}}}graphml")
-    keys = [
-        ("d_color", "node", "color", "long"),
-        ("d_label", "node", "label", "string"),
-        ("d_size", "node", "size", "long"),
-        ("d_intra_flux", "node", "intra_flux_planck", "long"),
-        ("d_intra_tx", "node", "intra_tx_count", "long"),
-        ("d_weight", "edge", "weight", "long"),
-        ("d_mult", "edge", "multiplicity", "long"),
-    ]
-    for key_id, domain, name, kind in keys:
-        ElementTree.SubElement(
-            root,
-            f"{{{ns}}}key",
-            {"id": key_id, "for": domain, "attr.name": name, "attr.type": kind},
-        )
-    graph_el = ElementTree.SubElement(
-        root, f"{{{ns}}}graph", {"id": "contracted", "edgedefault": "directed"}
-    )
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    '  <key id="d_color" for="node" attr.name="color" attr.type="long" />\n'
+    '  <key id="d_label" for="node" attr.name="label" attr.type="string" />\n'
+    '  <key id="d_size" for="node" attr.name="size" attr.type="long" />\n'
+    '  <key id="d_intra_flux" for="node" attr.name="intra_flux_planck" attr.type="long" />\n'
+    '  <key id="d_intra_tx" for="node" attr.name="intra_tx_count" attr.type="long" />\n'
+    '  <key id="d_weight" for="edge" attr.name="weight" attr.type="long" />\n'
+    '  <key id="d_mult" for="edge" attr.name="multiplicity" attr.type="long" />\n'
+)
 
-    def data(parent, key_id, value):
-        el = ElementTree.SubElement(parent, f"{{{ns}}}data", {"key": key_id})
-        el.text = str(value)
 
-    for cid in sorted(contracted.nodes):
-        node = contracted.nodes[cid]
-        el = ElementTree.SubElement(graph_el, f"{{{ns}}}node", {"id": str(cid)})
-        data(el, "d_color", node.color)
-        data(el, "d_label", labels.get(cid, ""))
-        data(el, "d_size", node.member_count)
-        data(el, "d_intra_flux", node.intra_flux)
-        data(el, "d_intra_tx", node.intra_tx_count)
-    for (src, dst) in sorted(contracted.edges):
-        agg = contracted.edges[(src, dst)]
-        el = ElementTree.SubElement(
-            graph_el, f"{{{ns}}}edge", {"source": str(src), "target": str(dst)}
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _graphml_lines(nodes, edges, labels: Mapping[int, str]):
+    """GraphML of the sorted node and edge items, laid out as ElementTree.indent
+    writes it: no trailing newline, and an element without content as ' />'."""
+    yield _GRAPHML_HEAD
+    if not nodes:
+        yield '  <graph id="contracted" edgedefault="directed" />\n</graphml>'
+        return
+    yield '  <graph id="contracted" edgedefault="directed">\n'
+    for cid, node in nodes:
+        text = labels.get(cid)
+        label = f">{_xml_text(text)}</data>" if text else " />"
+        yield (
+            f'    <node id="{cid}">\n'
+            f'      <data key="d_color">{node.color}</data>\n'
+            f'      <data key="d_label"{label}\n'
+            f'      <data key="d_size">{node.member_count}</data>\n'
+            f'      <data key="d_intra_flux">{node.intra_flux}</data>\n'
+            f'      <data key="d_intra_tx">{node.intra_tx_count}</data>\n'
+            f'    </node>\n'
         )
-        data(el, "d_weight", agg.flux)
-        data(el, "d_mult", agg.multiplicity)
-    tree = ElementTree.ElementTree(root)
-    ElementTree.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    for (src, dst), agg in edges:
+        yield (
+            f'    <edge source="{src}" target="{dst}">\n'
+            f'      <data key="d_weight">{agg.flux}</data>\n'
+            f'      <data key="d_mult">{agg.multiplicity}</data>\n'
+            f'    </edge>\n'
+        )
+    yield "  </graph>\n</graphml>"
 
 
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _write_dot(path: str, contracted: ContractedGraph, labels: Mapping[int, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("digraph contracted {\n")
-        for cid in sorted(contracted.nodes):
-            node = contracted.nodes[cid]
-            label = labels.get(cid) or str(cid)
-            fh.write(
-                f"  {cid} [label={_dot_quote(label)} size={node.member_count} "
-                f"color_index={node.color}];\n"
-            )
-        for (src, dst) in sorted(contracted.edges):
-            agg = contracted.edges[(src, dst)]
-            fh.write(
-                f"  {src} -> {dst} [weight={agg.flux} multiplicity={agg.multiplicity}];\n"
-            )
-        fh.write("}\n")
+def _dot_lines(nodes, edges, labels: Mapping[int, str]):
+    yield "digraph contracted {\n"
+    for cid, node in nodes:
+        label = labels.get(cid) or str(cid)
+        yield (f"  {cid} [label={_dot_quote(label)} size={node.member_count} "
+               f"color_index={node.color}];\n")
+    for (src, dst), agg in edges:
+        yield f"  {src} -> {dst} [weight={agg.flux} multiplicity={agg.multiplicity}];\n"
+    yield "}\n"
 
 
 def save_contracted(
@@ -427,32 +417,31 @@ def save_contracted(
     meta.json carrying whatever run context the caller passes (the
     pipeline stores pre-contraction graph statistics there)."""
     os.makedirs(directory, exist_ok=True)
-    labels = dict(labels or {})
+    labels = labels or {}
+    nodes = sorted(contracted.nodes.items())
+    edges = sorted(contracted.edges.items())
     write_table(
         os.path.join(directory, CONTRACTED_NODES_FILE),
         _NODES_HEADER,
         (
             [cid, node.color, labels.get(cid, ""), node.member_count,
              node.intra_flux, node.intra_tx_count]
-            for cid, node in sorted(contracted.nodes.items())
+            for cid, node in nodes
         ),
     )
     write_table(
         os.path.join(directory, CONTRACTED_EDGES_FILE),
         _EDGES_HEADER,
-        (
-            [src, dst, agg.flux, agg.multiplicity]
-            for (src, dst), agg in sorted(contracted.edges.items())
-        ),
+        ([src, dst, agg.flux, agg.multiplicity] for (src, dst), agg in edges),
     )
     write_table(
         os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, sorted(assignment.items())
     )
-    _write_graphml(os.path.join(directory, GRAPHML_FILE), contracted, labels)
-    _write_dot(os.path.join(directory, DOT_FILE), contracted, labels)
-    with open(os.path.join(directory, META_FILE), "w", encoding="utf-8") as fh:
-        json.dump(dict(meta or {}), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_output(os.path.join(directory, GRAPHML_FILE)) as fh:
+        fh.writelines(_graphml_lines(nodes, edges, labels))
+    with atomic_output(os.path.join(directory, DOT_FILE)) as fh:
+        fh.writelines(_dot_lines(nodes, edges, labels))
+    write_json(os.path.join(directory, META_FILE), dict(meta or {}))
 
 
 def load_contracted(

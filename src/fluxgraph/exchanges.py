@@ -15,7 +15,6 @@ exactly that: 90 passing neighbors out of 100 fails.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional

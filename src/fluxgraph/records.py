@@ -20,6 +20,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, MalformedRecordError, MissingFieldError
+from .tables import atomic_output
 
 PLANCK_PER_DOT = 10**10
 
@@ -255,10 +256,9 @@ def transfer_line(t: TransferRecord) -> str:
 def write_transfers(path: str, transfers: Iterable[TransferRecord]) -> int:
     """Write transfers in the same line-oriented form; returns the count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         for t in transfers:
-            fh.write(transfer_line(t))
-            fh.write("\n")
+            fh.write(transfer_line(t) + "\n")
             n += 1
     return n
 

@@ -37,7 +37,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .exchanges import DetectionParams, LABELS_HEADER
-from .tables import write_table
+from .tables import atomic_output, write_json, write_table
 
 CAT_INTRA_EXCHANGE = "intra_exchange"
 CAT_INTER_EXCHANGE = "inter_exchange"
@@ -201,9 +201,7 @@ LABELS_FILE = "labels.csv"
 
 def save_ground_truth(truth: GroundTruth, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, GROUND_TRUTH_FILE), "w", encoding="utf-8") as fh:
-        json.dump(truth.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, GROUND_TRUTH_FILE), truth.as_dict())
     write_table(os.path.join(directory, LABELS_FILE), LABELS_HEADER,
                 sorted(truth.labels.items()))
 
@@ -641,11 +639,5 @@ def generate(config: ScenarioConfig) -> tuple[list[str], GroundTruth]:
 
 def generate_to_file(config: ScenarioConfig, path: str) -> GroundTruth:
     """Stream the record stream to a file, one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-
-        def emit(line: str) -> None:
-            write(line)
-            write("\n")
-
-        return _generate(config, emit)
+    with atomic_output(path) as fh:
+        return _generate(config, lambda line: fh.write(line + "\n"))

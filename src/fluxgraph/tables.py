@@ -1,22 +1,50 @@
-"""CSV tables: the one reader and writer behind every CSV artifact.
+"""Output files and CSV tables: the one place that writes a file.
 
-A table is a header row followed by data rows, written as UTF-8 in the
-csv module's default dialect. Cells are strings, except the integer
-columns a reader names, which must hold non-negative decimal integers.
-Every fault found while reading raises MalformedRecordError naming the
-file and the 1-based line.
+atomic_output writes UTF-8 without newline translation into a hidden
+sibling that is renamed onto the target only once complete. A table is
+a header row plus data rows in the csv module's default dialect; a
+reader converts the integer columns it names, which must hold
+non-negative decimal integers, and raises MalformedRecordError naming
+the file and the 1-based line of every fault.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+import json
+import os
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import MalformedRecordError
 
 
+@contextlib.contextmanager
+def atomic_output(path: str) -> Iterator[TextIO]:
+    """Open a temporary sibling of path for writing text; rename it onto
+    path when the block completes, and delete it when the block raises,
+    leaving any earlier file at path as it was."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(path: str, data, sort_keys: bool = True) -> None:
+    """Write data as indented JSON followed by a newline."""
+    with atomic_output(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

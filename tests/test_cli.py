@@ -196,6 +196,12 @@ def write_graph(directory, edge_rows):
     return str(directory)
 
 
+def files_under(root) -> list[str]:
+    """Every file below root, as sorted relative paths."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _dirs, files in os.walk(root) for f in files)
+
+
 class TestMalformedFiles:
     """Bad rows in the CSV files the stages hand over end in exit 4 with
     file and line named; they never escape as a traceback."""
@@ -254,6 +260,8 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"{bad}:1: not UTF-8 at or after this line" in err
         assert "Traceback" not in err
+        # no partial out.jsonl or out/transfers.jsonl, and no temp file
+        assert files_under(tmp_path) == ["bad.jsonl"]
 
     @pytest.mark.parametrize("command", ["ingest", "build"])
     def test_record_error_names_file(self, tmp_path, ledger, capsys, command):
@@ -268,6 +276,7 @@ class TestMalformedFiles:
         assert code == cli.EXIT_MALFORMED
         assert (f"error: {bad}:1: missing mandatory field 'timestamp'"
                 in capsys.readouterr().err)
+        assert files_under(tmp_path) == ["bad.jsonl"]
 
 
 def run_pipeline(path, outdir, labels=None, extra=()):
@@ -463,6 +472,19 @@ class TestSynthCommand:
                          str(b), "--seed", "99", "--quiet"]) == cli.EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
+
+    def test_refused_scenario_leaves_no_output(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "seed": 1, "user_count": 50,
+            "exchanges": [{"label": "a", "main_wallets": 1, "deposit_addresses": 3,
+                           "withdrawals": 40}],
+        }))
+        code = cli.main(["synth", "--scenario", str(scenario), "--output",
+                         str(tmp_path / "ledger.jsonl"), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert "below the detection minimum" in capsys.readouterr().err
+        assert files_under(tmp_path) == ["scenario.json"]
 
 
 def test_bench_tracer_installs():

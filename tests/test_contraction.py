@@ -1,5 +1,6 @@
 """Graph contraction: quotient semantics, conservation, determinism."""
 
+import io
 import random
 import xml.etree.ElementTree as ET
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph_and_coloring
 from fluxgraph.contraction import (
+    ContractedGraph,
+    ContractedNode,
     as_aggregated,
     canonical_form,
     contract,
@@ -19,7 +22,7 @@ from fluxgraph.contraction import (
 )
 from fluxgraph.errors import PartialColoringError
 from fluxgraph.exchanges import Coloring
-from fluxgraph.graph import AggregatedGraph
+from fluxgraph.graph import AggregatedGraph, EdgeAggregate
 
 
 def hand_graph():
@@ -243,6 +246,66 @@ class TestCanonicalForm:
         assert canonical_form(c1, a1) == canonical_form(c2, a2)
 
 
+def reference_graphml(contracted, labels) -> bytes:
+    """contracted.graphml as an ElementTree build writes it; the streaming
+    writer in save_contracted must reproduce these bytes."""
+    ns = "http://graphml.graphdrawing.org/xmlns"
+    ET.register_namespace("", ns)
+    root = ET.Element(f"{{{ns}}}graphml")
+    keys = [
+        ("d_color", "node", "color", "long"),
+        ("d_label", "node", "label", "string"),
+        ("d_size", "node", "size", "long"),
+        ("d_intra_flux", "node", "intra_flux_planck", "long"),
+        ("d_intra_tx", "node", "intra_tx_count", "long"),
+        ("d_weight", "edge", "weight", "long"),
+        ("d_mult", "edge", "multiplicity", "long"),
+    ]
+    for key_id, domain, name, kind in keys:
+        ET.SubElement(root, f"{{{ns}}}key",
+                      {"id": key_id, "for": domain, "attr.name": name, "attr.type": kind})
+    graph_el = ET.SubElement(root, f"{{{ns}}}graph",
+                             {"id": "contracted", "edgedefault": "directed"})
+
+    def data(parent, key_id, value):
+        ET.SubElement(parent, f"{{{ns}}}data", {"key": key_id}).text = str(value)
+
+    for cid in sorted(contracted.nodes):
+        node = contracted.nodes[cid]
+        el = ET.SubElement(graph_el, f"{{{ns}}}node", {"id": str(cid)})
+        data(el, "d_color", node.color)
+        data(el, "d_label", labels.get(cid, ""))
+        data(el, "d_size", node.member_count)
+        data(el, "d_intra_flux", node.intra_flux)
+        data(el, "d_intra_tx", node.intra_tx_count)
+    for (src, dst) in sorted(contracted.edges):
+        agg = contracted.edges[(src, dst)]
+        el = ET.SubElement(graph_el, f"{{{ns}}}edge", {"source": str(src), "target": str(dst)})
+        data(el, "d_weight", agg.flux)
+        data(el, "d_mult", agg.multiplicity)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    out = io.BytesIO()
+    tree.write(out, encoding="utf-8", xml_declaration=True)
+    return out.getvalue()
+
+
+# labels that XML must escape or carry as is; cluster 7 has an empty label
+# and cluster 8 none at all
+AWKWARD_LABELS = {1: "a&b", 2: "x<y>", 3: 'q"t', 4: "it's", 5: "ünï", 6: "two\nlines",
+                  7: ""}
+
+
+def awkward_quotient() -> ContractedGraph:
+    contracted = ContractedGraph()
+    for cid in range(1, 10):
+        contracted.nodes[cid] = ContractedNode(cid, cid if cid <= 7 else 0, cid, 10 * cid,
+                                               cid - 1)
+    for src, dst in [(1, 2), (2, 1), (3, 9), (8, 6), (9, 8), (5, 4)]:
+        contracted.edges[(src, dst)] = EdgeAggregate(src * 1000 + dst, src + dst)
+    return contracted
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         g, coloring = hand_graph()
@@ -272,6 +335,30 @@ class TestPersistence:
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
         assert len(tree.findall(".//g:node", ns)) == contracted.order
         assert len(tree.findall(".//g:edge", ns)) == contracted.size
+
+    @pytest.mark.parametrize("contracted", [awkward_quotient(), ContractedGraph()],
+                             ids=["awkward", "empty"])
+    def test_graphml_matches_elementtree(self, tmp_path, contracted):
+        save_contracted(contracted, {}, str(tmp_path), AWKWARD_LABELS)
+        assert (tmp_path / "contracted.graphml").read_bytes() \
+            == reference_graphml(contracted, AWKWARD_LABELS)
+
+    def test_graphml_round_trips_through_networkx(self, tmp_path):
+        nx = pytest.importorskip("networkx")
+        contracted = awkward_quotient()
+        save_contracted(contracted, {}, str(tmp_path), AWKWARD_LABELS)
+        back = nx.read_graphml(tmp_path / "contracted.graphml")
+        assert back.is_directed()
+        assert dict(back.nodes(data=True)) == {
+            str(cid): {"color": node.color, "label": AWKWARD_LABELS.get(cid, ""),
+                       "size": node.member_count, "intra_flux_planck": node.intra_flux,
+                       "intra_tx_count": node.intra_tx_count}
+            for cid, node in contracted.nodes.items()
+        }
+        assert {(u, v): d for u, v, d in back.edges(data=True)} == {
+            (str(src), str(dst)): {"weight": agg.flux, "multiplicity": agg.multiplicity}
+            for (src, dst), agg in contracted.edges.items()
+        }
 
     def test_dot_output_mentions_every_cluster(self, tmp_path):
         g, coloring = hand_graph()
