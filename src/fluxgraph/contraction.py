@@ -10,7 +10,8 @@ because that edge would have merged them.
 
 Two independent routes compute the quotient. contract() discovers
 clusters by breadth-first search along the graph's own adjacency,
-following only same-colored neighbors, and is the production path.
+following only same-colored neighbors, and works on the graph's
+interned node ids; it is the production path.
 oracle_contract() re-derives everything from a plain disjoint-set
 forest and a full edge re-scan; it exists for tests and for the
 --verify pipeline flag, and stays deliberately naive. Both feed the
@@ -33,7 +34,7 @@ from typing import Mapping
 from .errors import ConfigError, MalformedRecordError, PartialColoringError
 from .exchanges import Coloring
 from .graph import AggregatedGraph, EdgeAggregate
-from .tables import atomic_output, read_table, write_json, write_table
+from .tables import atomic_output, read_table, sorted_items, write_json, write_table
 
 ClusterAssignment = dict[str, int]
 
@@ -94,31 +95,21 @@ def _checked_colors(graph: AggregatedGraph, coloring: Coloring) -> dict[str, int
     return colors
 
 
-def _assign_cluster_ids(
-    components: list[list[str]], colors: Mapping[str, int]
-) -> list[int]:
+def _number_clusters(keys: list[tuple[int, int, object]]) -> list[int]:
     """Deterministic cluster numbering, independent of discovery order.
 
-    The dominant component of each exchange color keeps that color as
-    its id (dominant: most members, ties by smallest member). Everything
+    keys[i] is component i's (color, member count, anchor), where the
+    anchor orders like the component's smallest member name. The
+    dominant component of each exchange color keeps that color as its
+    id (dominant: most members, ties by smallest anchor). Everything
     else, user components included, is numbered after the largest color
     in use, ordered by descending member count with ties by smallest
-    member.
+    anchor.
     """
-    max_color = 0
-    info = []
-    for idx, members in enumerate(components):
-        color = colors[members[0]]
-        if color < 0:
-            raise ConfigError(f"negative color {color} on account {members[0]!r}")
-        if color > max_color:
-            max_color = color
-        info.append((idx, color, len(members), min(members)))
-
-    ids = [0] * len(components)
+    ids = [0] * len(keys)
     leftovers = []
-    by_color: dict[int, list[tuple[int, int, str]]] = {}
-    for idx, color, size, anchor in info:
+    by_color: dict[int, list[tuple[int, int, object]]] = {}
+    for idx, (color, size, anchor) in enumerate(keys):
         if color == 0:
             leftovers.append((idx, size, anchor))
         else:
@@ -128,11 +119,23 @@ def _assign_cluster_ids(
         ids[group[0][0]] = color
         leftovers.extend(group[1:])
     leftovers.sort(key=lambda t: (-t[1], t[2]))
-    next_id = max_color + 1
+    next_id = max(by_color, default=0) + 1
     for idx, _size, _anchor in leftovers:
         ids[idx] = next_id
         next_id += 1
     return ids
+
+
+def _assign_cluster_ids(
+    components: list[list[str]], colors: Mapping[str, int]
+) -> list[int]:
+    keys = []
+    for members in components:
+        color = colors[members[0]]
+        if color < 0:
+            raise ConfigError(f"negative color {color} on account {members[0]!r}")
+        keys.append((color, len(members), min(members)))
+    return _number_clusters(keys)
 
 
 def _build_quotient(
@@ -175,6 +178,22 @@ def _build_quotient(
     return contracted, assignment
 
 
+def _colors_by_id(graph: AggregatedGraph, coloring: Coloring) -> list[int]:
+    """The coloring as a list indexed by node id. Accounts outside the
+    graph are ignored; a node without a color, or with a negative one,
+    is rejected."""
+    names = graph.names
+    colors = list(map(coloring.colors.get, names))
+    missing = colors.count(None)
+    if missing:
+        example = names[colors.index(None)]
+        raise PartialColoringError(f"{missing} node(s) lack a color, e.g. {example!r}")
+    if colors and min(colors) < 0:
+        node = next(i for i, color in enumerate(colors) if color < 0)
+        raise ConfigError(f"negative color {colors[node]} on account {names[node]!r}")
+    return colors
+
+
 def contract(
     graph: AggregatedGraph, coloring: Coloring
 ) -> tuple[ContractedGraph, ClusterAssignment]:
@@ -185,27 +204,55 @@ def contract(
     no such path stay apart. Raises PartialColoringError when the
     coloring does not cover every node.
     """
-    colors = _checked_colors(graph, coloring)
+    color = _colors_by_id(graph, coloring)
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    order = graph.name_order()
 
-    component_of: dict[str, int] = {}
-    components: list[list[str]] = []
-    for seed in graph.nodes:
-        if seed in component_of:
+    # Breadth first from each unvisited node in name order, so a
+    # component's discovery index orders like its smallest member name.
+    component = [-1] * len(color)
+    keys: list[tuple[int, int, int]] = []
+    for seed in order:
+        if component[seed] >= 0:
             continue
-        idx = len(components)
-        color = colors[seed]
+        idx = len(keys)
+        shade = color[seed]
         members = [seed]
-        component_of[seed] = idx
-        # breadth first: members grows while it is walked
-        for node in members:
-            for near in (graph.out_edges(node), graph.in_edges(node)):
+        component[seed] = idx
+        for node in members:  # members grows while it is walked
+            for near in (out_adj[node], in_adj[node]):
                 for nxt in near:
-                    if nxt not in component_of and colors[nxt] == color:
-                        component_of[nxt] = idx
+                    if component[nxt] < 0 and color[nxt] == shade:
+                        component[nxt] = idx
                         members.append(nxt)
-        components.append(members)
+        keys.append((shade, len(members), idx))
 
-    return _build_quotient(graph, component_of, components, colors)
+    ids = _number_clusters(keys)
+    contracted = ContractedGraph()
+    nodes = contracted.nodes
+    for idx, (shade, size, _anchor) in enumerate(keys):
+        nodes[ids[idx]] = ContractedNode(ids[idx], shade, size, 0, 0)
+    cluster_of = [ids[idx] for idx in component]
+    edges = contracted.edges
+    for s, targets in enumerate(out_adj):
+        cu = cluster_of[s]
+        for r, agg in targets.items():
+            cv = cluster_of[r]
+            if cu == cv:
+                node = nodes[cu]
+                node.intra_flux += agg.flux
+                node.intra_tx_count += agg.multiplicity
+            else:
+                cross = edges.get((cu, cv))
+                if cross is None:
+                    edges[(cu, cv)] = EdgeAggregate(agg.flux, agg.multiplicity)
+                else:
+                    cross.flux += agg.flux
+                    cross.multiplicity += agg.multiplicity
+    names = graph.names
+    # in name order, so save_contracted streams it without sorting
+    assignment = {names[i]: cluster_of[i] for i in order}
+    return contracted, assignment
 
 
 def oracle_contract(
@@ -435,7 +482,7 @@ def save_contracted(
         ([src, dst, agg.flux, agg.multiplicity] for (src, dst), agg in edges),
     )
     write_table(
-        os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, sorted(assignment.items())
+        os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, sorted_items(assignment)
     )
     with atomic_output(os.path.join(directory, GRAPHML_FILE)) as fh:
         fh.writelines(_graphml_lines(nodes, edges, labels))

@@ -7,9 +7,11 @@ by such forwarders is an exchange main wallet, and the forwarders are
 its deposit addresses. Detection only ever looks at the candidate's
 1-neighborhood edge aggregates.
 
-Thresholds arrive as decimal floats but every comparison is done with
-exact fractions over integer flux, so "strictly more than 90%" means
-exactly that: 90 passing neighbors out of 100 fails.
+Thresholds arrive as decimal floats but every comparison is exact: each
+threshold is read as the decimal the caller wrote, once per parameter
+set, and compared by integer cross-multiplication with the integer
+flux, so "strictly more than 90%" means exactly that: 90 passing
+neighbors out of 100 fails.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     UnknownAccountError,
 )
 from .graph import AggregatedGraph, degree_centrality_ranking
-from .tables import read_table, write_table
+from .tables import read_table, sorted_items, write_table
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,16 @@ class DetectionParams:
             raise ConfigError("deposit_neighbor_threshold must be in (0, 1)")
         if not 0.0 < self.deposit_forward_fraction <= 1.0:
             raise ConfigError("deposit_forward_fraction must be in (0, 1]")
+        # not fields, so asdict, the CLI flags and equality ignore them
+        object.__setattr__(self, "_neighbor_ratio", _exact(self.deposit_neighbor_threshold))
+        object.__setattr__(self, "_forward_ratio", _exact(self.deposit_forward_fraction))
 
 
-def _exact(value: float) -> Fraction:
-    # Fraction(str(x)) reads the decimal the caller wrote, not the binary
-    # float underneath, so 0.90 is exactly 9/10 in comparisons.
-    return Fraction(str(value))
+def _exact(value: float) -> tuple[int, int]:
+    """Numerator and denominator of the decimal the caller wrote, not of
+    the binary float underneath, so 0.90 is exactly 9/10."""
+    ratio = Fraction(str(value))
+    return ratio.numerator, ratio.denominator
 
 
 @dataclass
@@ -83,13 +89,6 @@ class Coloring:
 
     colors: dict[str, int]
 
-    def color_of(self, account: str) -> int:
-        return self.colors[account]
-
-    @property
-    def max_color(self) -> int:
-        return max(self.colors.values(), default=0)
-
     @classmethod
     def all_users(cls, graph: AggregatedGraph) -> "Coloring":
         return cls({account: 0 for account in graph.nodes})
@@ -105,33 +104,31 @@ def is_deposit_address(
     target receiving a non-negligible share. Raises UnknownAccountError
     when either account is not in the graph.
     """
-    if not graph.has_node(main):
-        raise UnknownAccountError(main)
-    out_edges = graph.out_edges(candidate)  # raises for unknown candidate
+    m = graph.id_of(main)
+    c = graph.id_of(candidate)
+    out_edges = graph.out_adj[c]
 
+    wanted = params.min_deposit_inflows
     inflows = 0
-    for source in graph.in_edges(candidate):
-        if source != main:
+    for source in graph.in_adj[c]:
+        if source != m:
             inflows += 1
-            if inflows >= params.min_deposit_inflows:
+            if inflows >= wanted:
                 break
-    if inflows < params.min_deposit_inflows:
+    if inflows < wanted:
         return False
 
-    out_flux = sum(agg.flux for agg in out_edges.values())
-    if out_flux == 0:
-        return False
-    to_main = out_edges.get(main)
+    to_main = out_edges.get(m)
     if to_main is None:
         return False
-    forward = _exact(params.deposit_forward_fraction)
-    if Fraction(to_main.flux, out_flux) < forward:
+    out_flux = sum(agg.flux for agg in out_edges.values())
+    # to_main / out_flux >= num / den, and every other share below 1 - num / den
+    num, den = params._forward_ratio
+    if to_main.flux * den < num * out_flux:
         return False
-    residue = 1 - forward
+    residue = (den - num) * out_flux
     for target, agg in out_edges.items():
-        if target == main:
-            continue
-        if Fraction(agg.flux, out_flux) >= residue:
+        if target != m and agg.flux * den >= residue:
             return False
     return True
 
@@ -147,13 +144,18 @@ def classify_exchange(
     passing the deposit test. Returns an unlabeled, unnumbered cluster
     (main plus its deposits) or None.
     """
-    neighbors = graph.neighbors(account)
-    if len(neighbors) < params.min_neighbors:
+    node = graph.id_of(account)
+    near = set(graph.out_adj[node])
+    near.update(graph.in_adj[node])
+    near.discard(node)
+    if len(near) < params.min_neighbors:
         return None
+    names = graph.names
     passing = {
-        nb for nb in neighbors if is_deposit_address(graph, nb, account, params)
+        names[nb] for nb in near if is_deposit_address(graph, names[nb], account, params)
     }
-    if Fraction(len(passing), len(neighbors)) <= _exact(params.deposit_neighbor_threshold):
+    num, den = params._neighbor_ratio
+    if len(passing) * den <= num * len(near):
         return None
     return ExchangeCluster(
         cluster_id=0, label="", main_addresses={account}, deposit_addresses=passing
@@ -257,7 +259,9 @@ def build_coloring(
     """Color every graph node: cluster members get their cluster id,
     everyone else 0. Raises ClusterOverlapError when two clusters claim
     the same account, UnknownAccountError for members outside the graph."""
-    colors = {account: 0 for account in graph.nodes}
+    names = graph.names
+    # in name order, so save_coloring streams it without sorting
+    colors = dict.fromkeys(map(names.__getitem__, graph.name_order()), 0)
     seen: dict[str, int] = {}
     for cluster in clusters:
         for member in cluster.members():
@@ -333,7 +337,7 @@ def load_clusters(path: str) -> list[ExchangeCluster]:
 
 
 def save_coloring(path: str, coloring: Coloring) -> None:
-    write_table(path, COLORING_HEADER, sorted(coloring.colors.items()))
+    write_table(path, COLORING_HEADER, sorted_items(coloring.colors))
 
 
 def load_coloring(path: str) -> Coloring:

@@ -2,13 +2,21 @@
 
 Transfers between the same ordered account pair collapse into one edge
 carrying flux (sum of amounts, Planck) and multiplicity (transfer
-count). Self-loops are kept. The structure is two nested dicts (out-
-and in-adjacency) sharing EdgeAggregate instances, so per-node
-neighborhood scans used by the exchange heuristics are O(degree).
+count). Self-loops are kept.
+
+Each account is interned to a dense int id the first time the graph
+sees it: names[i] is the account with id i, and ids maps it back. Out-
+and in-adjacency are lists of dicts keyed by id that share EdgeAggregate
+instances, so per-node neighborhood scans used by the exchange
+heuristics are O(degree), and each node's transaction-count degree is
+kept up to date while folding. Account strings appear only where the
+graph meets files and callers.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import os
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, KeysView, Optional
@@ -36,21 +44,38 @@ class GraphStats:
 
 
 class AggregatedGraph:
-    """Directed graph of accounts with flux/multiplicity edge weights."""
+    """Directed graph of accounts with flux/multiplicity edge weights.
+
+    names, ids, out_adj, in_adj and degrees are the interned core, read
+    by the layers above; only the methods below change them.
+    degrees[i] counts the transfers in and out of node i, with a
+    self-loop's transfers counted once, not twice.
+    """
 
     def __init__(self):
-        self._out: dict[str, dict[str, EdgeAggregate]] = {}
-        self._in: dict[str, dict[str, EdgeAggregate]] = {}
+        self.names: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.out_adj: list[dict[int, EdgeAggregate]] = []
+        self.in_adj: list[dict[int, EdgeAggregate]] = []
+        self.degrees: list[int] = []
         self._edge_count = 0
         self._tx_count = 0
         self._flux = 0
+        self._name_order: list[int] = []
 
     # -- construction -------------------------------------------------
 
+    def _intern(self, account: str) -> int:
+        node = self.ids[account] = len(self.names)
+        self.names.append(account)
+        self.out_adj.append({})
+        self.in_adj.append({})
+        self.degrees.append(0)
+        return node
+
     def add_node(self, account: str) -> None:
-        if account not in self._out:
-            self._out[account] = {}
-            self._in[account] = {}
+        if account not in self.ids:
+            self._intern(account)
 
     def add_transfer(self, sender: str, recipient: str, amount: int) -> None:
         """Fold one transfer into the aggregate. amount must be positive."""
@@ -65,16 +90,26 @@ class AggregatedGraph:
         self._bump(sender, recipient, flux, multiplicity)
 
     def _bump(self, sender: str, recipient: str, flux: int, mult: int) -> None:
-        self.add_node(sender)
-        self.add_node(recipient)
-        agg = self._out[sender].get(recipient)
+        # the id lookups are inlined: this runs once per transfer
+        ids = self.ids
+        s = ids.get(sender)
+        if s is None:
+            s = self._intern(sender)
+        r = ids.get(recipient)
+        if r is None:
+            r = self._intern(recipient)
+        targets = self.out_adj[s]
+        agg = targets.get(r)
         if agg is None:
-            agg = EdgeAggregate(0, 0)
-            self._out[sender][recipient] = agg
-            self._in[recipient][sender] = agg
+            agg = targets[r] = EdgeAggregate(0, 0)
+            self.in_adj[r][s] = agg
             self._edge_count += 1
         agg.flux += flux
         agg.multiplicity += mult
+        degrees = self.degrees
+        degrees[s] += mult
+        if r != s:
+            degrees[r] += mult
         self._tx_count += mult
         self._flux += flux
 
@@ -82,11 +117,12 @@ class AggregatedGraph:
 
     @property
     def nodes(self) -> KeysView[str]:
-        return self._out.keys()
+        """Account names in the order the graph first saw them."""
+        return self.ids.keys()
 
     @property
     def order(self) -> int:
-        return len(self._out)
+        return len(self.names)
 
     @property
     def aggregated_size(self) -> int:
@@ -101,53 +137,29 @@ class AggregatedGraph:
         return self._flux
 
     def edges(self) -> Iterator[tuple[str, str, EdgeAggregate]]:
-        for sender, targets in self._out.items():
-            for recipient, agg in targets.items():
-                yield sender, recipient, agg
-
-    def edge(self, sender: str, recipient: str) -> Optional[EdgeAggregate]:
-        targets = self._out.get(sender)
-        return None if targets is None else targets.get(recipient)
-
-    def out_edges(self, account: str) -> dict[str, EdgeAggregate]:
-        try:
-            return self._out[account]
-        except KeyError:
-            raise UnknownAccountError(account) from None
-
-    def in_edges(self, account: str) -> dict[str, EdgeAggregate]:
-        try:
-            return self._in[account]
-        except KeyError:
-            raise UnknownAccountError(account) from None
+        names = self.names
+        for s, targets in enumerate(self.out_adj):
+            sender = names[s]
+            for r, agg in targets.items():
+                yield sender, names[r], agg
 
     def has_node(self, account: str) -> bool:
-        return account in self._out
+        return account in self.ids
 
-    def neighbors(self, account: str) -> set[str]:
-        """Distinct accounts adjacent in either direction, excluding self."""
-        near = set(self.out_edges(account))
-        near.update(self.in_edges(account))
-        near.discard(account)
-        return near
+    def id_of(self, account: str) -> int:
+        try:
+            return self.ids[account]
+        except KeyError:
+            raise UnknownAccountError(account) from None
 
-    def neighbor_count(self, account: str) -> int:
-        return len(self.neighbors(account))
-
-    def degree(self, account: str) -> int:
-        """Transaction-count degree: in plus out multiplicities, with a
-        self-loop's transfers counted once, not twice."""
-        out_e = self.out_edges(account)
-        in_e = self.in_edges(account)
-        total = sum(a.multiplicity for a in out_e.values())
-        total += sum(a.multiplicity for a in in_e.values())
-        loop = out_e.get(account)
-        if loop is not None:
-            total -= loop.multiplicity
-        return total
-
-    def out_flux(self, account: str) -> int:
-        return sum(a.flux for a in self.out_edges(account).values())
+    def name_order(self) -> list[int]:
+        """Node ids in ascending account-name order. Worked out once and
+        kept until a node is added; the writers and the contraction
+        share it instead of sorting names again."""
+        if len(self._name_order) != len(self.names):
+            # the ids dict's own int objects, so the order adds no new ints
+            self._name_order = list(map(self.ids.__getitem__, sorted(self.names)))
+        return self._name_order
 
 
 def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
@@ -161,16 +173,13 @@ def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
 def degree_centrality_ranking(graph: AggregatedGraph, k: int) -> list[tuple[str, int]]:
     """Top-k accounts by transaction-count degree.
 
-    Ties break by ascending account id so the ranking is reproducible.
+    Ties break by ascending account name so the ranking is reproducible.
     Returns min(k, order) entries.
     """
     if k <= 0:
         return []
-    ranked = sorted(
-        ((account, graph.degree(account)) for account in graph.nodes),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:k]
+    top = heapq.nsmallest(k, zip(map(operator.neg, graph.degrees), graph.names))
+    return [(account, -negated) for negated, account in top]
 
 
 def graph_stats(graph: AggregatedGraph) -> GraphStats:
@@ -190,21 +199,30 @@ NODES_HEADER = ["account"]
 EDGES_HEADER = ["sender", "recipient", "flux_planck", "multiplicity"]
 
 
+def _edge_rows(graph: AggregatedGraph) -> Iterator[tuple]:
+    """Edge rows ordered by (sender, recipient) name."""
+    names = graph.names
+    by_name = names.__getitem__
+    out_adj = graph.out_adj
+    for s in graph.name_order():
+        targets = out_adj[s]
+        if not targets:
+            continue
+        sender = names[s]
+        for r in sorted(targets, key=by_name) if len(targets) > 1 else targets:
+            agg = targets[r]
+            yield sender, names[r], agg.flux, agg.multiplicity
+
+
 def save_graph(graph: AggregatedGraph, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
+    names = graph.names
     write_table(
         os.path.join(directory, NODES_FILE),
         NODES_HEADER,
-        ([account] for account in sorted(graph.nodes)),
+        ((names[i],) for i in graph.name_order()),
     )
-    write_table(
-        os.path.join(directory, EDGES_FILE),
-        EDGES_HEADER,
-        (
-            [sender, recipient, agg.flux, agg.multiplicity]
-            for sender, recipient, agg in sorted(graph.edges(), key=lambda e: (e[0], e[1]))
-        ),
-    )
+    write_table(os.path.join(directory, EDGES_FILE), EDGES_HEADER, _edge_rows(graph))
 
 
 def _positive_edge(row: list) -> Optional[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, MalformedRecordError, MissingFieldError
@@ -99,18 +100,15 @@ def dot_to_planck(text: str) -> int:
     return planck
 
 
-def _take(obj: dict, key: str, kind, line_no) -> object:
-    if key not in obj or obj[key] is None:
-        raise MissingFieldError(key, line_no=line_no)
-    value = obj[key]
+def _field_error(obj: dict, key: str, kind, line_no) -> MalformedRecordError:
+    """The error for a field that failed its type check."""
+    value = obj.get(key)
+    if value is None:
+        return MissingFieldError(key, line_no=line_no)
     # bool is an int subclass; reject it where an actual integer is required
-    if kind is int and isinstance(value, bool):
-        raise MalformedRecordError(f"field '{key}' must be an integer", line_no)
-    if not isinstance(value, kind):
-        raise MalformedRecordError(
-            f"field '{key}' has type {type(value).__name__}", line_no
-        )
-    return value
+    if kind is int and type(value) is bool:
+        return MalformedRecordError(f"field '{key}' must be an integer", line_no)
+    return MalformedRecordError(f"field '{key}' has type {type(value).__name__}", line_no)
 
 
 def parse_record(
@@ -130,37 +128,54 @@ def parse_record(
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"invalid JSON: {exc.msg}", line_no) from None
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise MalformedRecordError("record is not an object", line_no)
 
-    block_number = _take(obj, "block_number", int, line_no)
+    # json.loads yields exactly int, str and bool, so type() is the check
+    get = obj.get
+    block_number = get("block_number")
+    if type(block_number) is not int:
+        raise _field_error(obj, "block_number", int, line_no)
     if block_number < 0:
         raise MalformedRecordError("block_number must be non-negative", line_no)
-    timestamp = _take(obj, "timestamp", int, line_no)
-    module_id = _take(obj, "module_id", str, line_no)
-    call_id = _take(obj, "call_id", str, line_no)
-    signed = _take(obj, "signed", bool, line_no)
-    success = _take(obj, "success", bool, line_no)
+    timestamp = get("timestamp")
+    if type(timestamp) is not int:
+        raise _field_error(obj, "timestamp", int, line_no)
+    module_id = get("module_id")
+    if type(module_id) is not str:
+        raise _field_error(obj, "module_id", str, line_no)
+    call_id = get("call_id")
+    if type(call_id) is not str:
+        raise _field_error(obj, "call_id", str, line_no)
+    signed = get("signed")
+    if type(signed) is not bool:
+        raise _field_error(obj, "signed", bool, line_no)
+    success = get("success")
+    if type(success) is not bool:
+        raise _field_error(obj, "success", bool, line_no)
 
-    sender = obj.get("sender")
-    recipient = obj.get("recipient")
-    for name, value in (("sender", sender), ("recipient", recipient)):
-        if value is not None and (not isinstance(value, str) or not value):
-            raise MalformedRecordError(f"field '{name}' must be a non-empty string", line_no)
+    sender = get("sender")
+    recipient = get("recipient")
+    if sender is not None and (type(sender) is not str or not sender):
+        raise MalformedRecordError("field 'sender' must be a non-empty string", line_no)
+    if recipient is not None and (type(recipient) is not str or not recipient):
+        raise MalformedRecordError("field 'recipient' must be a non-empty string", line_no)
 
-    has_planck = obj.get("amount_planck") is not None
-    has_dot = obj.get("amount_dot") is not None
+    amount = get("amount_planck")
+    raw = get("amount_dot")
+    has_planck = amount is not None
+    has_dot = raw is not None
     if has_planck and has_dot:
         raise MalformedRecordError(
             "amount_planck and amount_dot are mutually exclusive", line_no
         )
     if has_planck:
-        amount = _take(obj, "amount_planck", int, line_no)
+        if type(amount) is not int:
+            raise _field_error(obj, "amount_planck", int, line_no)
         if amount < 0:
             raise MalformedRecordError("amount_planck must be non-negative", line_no)
     elif has_dot:
-        raw = obj["amount_dot"]
-        if not isinstance(raw, str):
+        if type(raw) is not str:
             raise MalformedRecordError("amount_dot must be a decimal string", line_no)
         try:
             amount = dot_to_planck(raw)
@@ -238,7 +253,8 @@ def ingest(
 
 
 def transfer_line(t: TransferRecord) -> str:
-    """Render one kept transfer as a record line (without the newline)."""
+    """Render one kept transfer as a record line (without the newline).
+    Endpoints are escaped exactly as json.dumps escapes a string."""
     return (
         '{"block_number": %d, "timestamp": %d, "module_id": "Balances", '
         '"call_id": "transfer", "signed": true, "success": true, '
@@ -246,8 +262,8 @@ def transfer_line(t: TransferRecord) -> str:
         % (
             t.block_number,
             t.timestamp,
-            json.dumps(t.sender),
-            json.dumps(t.recipient),
+            encode_basestring_ascii(t.sender),
+            encode_basestring_ascii(t.recipient),
             t.amount_planck,
         )
     )

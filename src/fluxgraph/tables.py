@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
+import operator
 import os
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import MalformedRecordError
 
@@ -26,14 +28,24 @@ def atomic_output(path: str) -> Iterator[TextIO]:
     leaving any earlier file at path as it was."""
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "w", newline="", encoding="utf-8")
+    try:
+        fh = open(tmp, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise _naming(exc, path) from None
         raise
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """The same error, about path instead of its temporary sibling."""
+    return OSError(exc.errno, exc.strerror, path)
 
 
 def write_json(path: str, data, sort_keys: bool = True) -> None:
@@ -48,6 +60,14 @@ def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def sorted_items(mapping: Mapping) -> Iterable[tuple]:
+    """The items of mapping in ascending key order. A mapping built in
+    that order costs one linear check instead of a sort."""
+    if all(map(operator.lt, mapping, itertools.islice(mapping, 1, None))):
+        return mapping.items()
+    return sorted(mapping.items())
 
 
 def read_table(

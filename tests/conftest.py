@@ -5,12 +5,48 @@ import random
 from hypothesis import HealthCheck, settings
 
 from fluxgraph.exchanges import Coloring
-from fluxgraph.graph import AggregatedGraph
+from fluxgraph.graph import AggregatedGraph, EdgeAggregate
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+# -- lookups by account name, which the pipeline itself does not need ----
+
+
+def edge(graph: AggregatedGraph, sender: str, recipient: str) -> EdgeAggregate | None:
+    if not (graph.has_node(sender) and graph.has_node(recipient)):
+        return None
+    return graph.out_adj[graph.id_of(sender)].get(graph.id_of(recipient))
+
+
+def degree(graph: AggregatedGraph, account: str) -> int:
+    return graph.degrees[graph.id_of(account)]
+
+
+def neighbors(graph: AggregatedGraph, account: str) -> set[str]:
+    """Distinct accounts adjacent in either direction, excluding self."""
+    node = graph.id_of(account)
+    near = set(graph.out_adj[node]) | set(graph.in_adj[node])
+    return {graph.names[other] for other in near if other != node}
+
+
+def neighbor_count(graph: AggregatedGraph, account: str) -> int:
+    return len(neighbors(graph, account))
+
+
+def out_flux(graph: AggregatedGraph, account: str) -> int:
+    return sum(agg.flux for agg in graph.out_adj[graph.id_of(account)].values())
+
+
+def color_of(coloring: Coloring, account: str) -> int:
+    return coloring.colors[account]
+
+
+def max_color(coloring: Coloring) -> int:
+    return max(coloring.colors.values(), default=0)
 
 
 def random_graph_and_coloring(

@@ -348,15 +348,16 @@ class TestStageChaining:
             for name in files:
                 full = os.path.join(sub, name)
                 rel = os.path.relpath(full, a)
+                other = os.path.join(b, rel)
                 if name == "manifest.json":
-                    ma = json.loads(open(full).read())
-                    mb = json.loads(open(os.path.join(b, rel)).read())
+                    with open(full) as fa, open(other) as fb:
+                        ma, mb = json.load(fa), json.load(fb)
                     ma.pop("timings_s"), mb.pop("timings_s")
                     ma.pop("total_s"), mb.pop("total_s")
                     assert ma == mb
                     continue
-                assert open(full, "rb").read() == \
-                    open(os.path.join(b, rel), "rb").read(), rel
+                with open(full, "rb") as fa, open(other, "rb") as fb:
+                    assert fa.read() == fb.read(), rel
 
     def test_run_with_verify_and_manifest(self, tmp_path, ledger, capsys):
         root, path, _ = ledger
@@ -485,6 +486,14 @@ class TestSynthCommand:
         assert code == cli.EXIT_CONFIG
         assert "below the detection minimum" in capsys.readouterr().err
         assert files_under(tmp_path) == ["scenario.json"]
+
+    def test_unwritable_output_names_the_target(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["synth", "--template", "nodir/x.json", "--quiet"])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "nodir/x.json" in err
+        assert ".tmp" not in err
 
 
 def test_bench_tracer_installs():

@@ -1,8 +1,11 @@
 """Deposit-address heuristic, cluster merging and coloring."""
 
-import pytest
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import color_of, max_color
 from fluxgraph.errors import (
     ClusterOverlapError,
     ConfigError,
@@ -156,6 +159,73 @@ class TestClassifyExchange:
         assert hits == sorted(hits, reverse=True)
 
 
+def fraction_is_deposit(graph, candidate, main, params) -> bool:
+    """The deposit test with its shares as exact Fractions."""
+    names = graph.names
+    node = graph.id_of(candidate)
+    out_edges = {names[r]: agg for r, agg in graph.out_adj[node].items()}
+    inflows = sum(1 for s in graph.in_adj[node] if names[s] != main)
+    if inflows < params.min_deposit_inflows:
+        return False
+    out_flux = sum(agg.flux for agg in out_edges.values())
+    if out_flux == 0 or main not in out_edges:
+        return False
+    forward = Fraction(str(params.deposit_forward_fraction))
+    if Fraction(out_edges[main].flux, out_flux) < forward:
+        return False
+    residue = 1 - forward
+    return all(Fraction(agg.flux, out_flux) < residue
+               for target, agg in out_edges.items() if target != main)
+
+
+# thresholds on a coarse decimal grid land exactly on small-flux ratios
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 0.99]),
+    st.floats(min_value=0.001, max_value=0.999),
+)
+FLUXES = st.integers(min_value=1, max_value=400)
+
+
+class TestIntegerThresholds:
+    @given(
+        to_main=FLUXES,
+        side=st.lists(FLUXES, max_size=4),
+        inflows=st.integers(min_value=0, max_value=3),
+        forward=st.one_of(THRESHOLDS, st.just(1.0)),
+        wanted=st.integers(min_value=1, max_value=3),
+    )
+    # a forward share of exactly the threshold passes; a side share of
+    # exactly the residue fails
+    @example(to_main=2, side=[2], inflows=1, forward=0.5, wanted=1)
+    @example(to_main=99, side=[1], inflows=1, forward=0.99, wanted=1)
+    @example(to_main=99, side=[], inflows=1, forward=0.99, wanted=1)
+    def test_deposit_test_agrees_with_fractions(self, to_main, side, inflows, forward, wanted):
+        g = AggregatedGraph()
+        g.add_node("MAIN")
+        for i in range(inflows):
+            g.add_transfer(f"own{i}", "x", 10)
+        g.add_transfer("MAIN", "x", 3)
+        g.add_transfer("x", "MAIN", to_main)
+        for i, flux in enumerate(side):
+            g.add_transfer("x", f"side{i}", flux)
+        params = DetectionParams(deposit_forward_fraction=forward, min_deposit_inflows=wanted)
+        assert is_deposit_address(g, "x", "MAIN", params) == \
+            fraction_is_deposit(g, "x", "MAIN", params)
+
+    @given(
+        deposits=st.integers(min_value=0, max_value=40),
+        plain=st.integers(min_value=0, max_value=40),
+        threshold=THRESHOLDS,
+    )
+    @example(deposits=9, plain=1, threshold=0.9)
+    def test_neighbor_threshold_agrees_with_fractions(self, deposits, plain, threshold):
+        g = exchange_graph(deposits, plain_count=plain)
+        params = DetectionParams(deposit_neighbor_threshold=threshold, min_neighbors=1)
+        expected = deposits + plain >= 1 and \
+            Fraction(deposits, deposits + plain) > Fraction(str(threshold))
+        assert (classify_exchange(g, "MAIN", params) is not None) == expected
+
+
 class TestMergeClusters:
     def mk(self, mains, deposits):
         return ExchangeCluster(0, "", set(mains), set(deposits))
@@ -283,10 +353,10 @@ class TestColoring:
         g = exchange_graph(2)
         clusters = [ExchangeCluster(3, "x", {"MAIN"}, {"dep000", "dep001"})]
         coloring = build_coloring(g, clusters)
-        assert coloring.color_of("MAIN") == 3
-        assert coloring.color_of("dep001") == 3
-        assert coloring.color_of("own000") == 0
-        assert coloring.max_color == 3
+        assert color_of(coloring, "MAIN") == 3
+        assert color_of(coloring, "dep001") == 3
+        assert color_of(coloring, "own000") == 0
+        assert max_color(coloring) == 3
 
     def test_overlap_rejected(self):
         g = exchange_graph(2)
@@ -306,7 +376,7 @@ class TestColoring:
         g = exchange_graph(1)
         coloring = Coloring.all_users(g)
         assert set(coloring.colors.values()) == {0}
-        assert coloring.max_color == 0
+        assert max_color(coloring) == 0
 
 
 class TestPersistence:

@@ -144,6 +144,163 @@ class TestParse:
         assert parse_record(record_line(fee=12, era="mortal")).amount_planck == 42
 
 
+def _reference_take(obj: dict, key: str, kind, line_no) -> object:
+    if key not in obj or obj[key] is None:
+        raise MissingFieldError(key, line_no=line_no)
+    value = obj[key]
+    # bool is an int subclass; reject it where an actual integer is required
+    if kind is int and isinstance(value, bool):
+        raise MalformedRecordError(f"field '{key}' must be an integer", line_no)
+    if not isinstance(value, kind):
+        raise MalformedRecordError(
+            f"field '{key}' has type {type(value).__name__}", line_no
+        )
+    return value
+
+
+def reference_parse_record(
+    line: str, line_no: int | None = None, start_block: int = 0
+) -> TransferRecord | str:
+    """parse_record as it was with one isinstance check per field, kept
+    verbatim to pin the inlined checks to the same verdicts and messages."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"invalid JSON: {exc.msg}", line_no) from None
+    if not isinstance(obj, dict):
+        raise MalformedRecordError("record is not an object", line_no)
+
+    block_number = _reference_take(obj, "block_number", int, line_no)
+    if block_number < 0:
+        raise MalformedRecordError("block_number must be non-negative", line_no)
+    timestamp = _reference_take(obj, "timestamp", int, line_no)
+    module_id = _reference_take(obj, "module_id", str, line_no)
+    call_id = _reference_take(obj, "call_id", str, line_no)
+    signed = _reference_take(obj, "signed", bool, line_no)
+    success = _reference_take(obj, "success", bool, line_no)
+
+    sender = obj.get("sender")
+    recipient = obj.get("recipient")
+    for name, value in (("sender", sender), ("recipient", recipient)):
+        if value is not None and (not isinstance(value, str) or not value):
+            raise MalformedRecordError(f"field '{name}' must be a non-empty string", line_no)
+
+    has_planck = obj.get("amount_planck") is not None
+    has_dot = obj.get("amount_dot") is not None
+    if has_planck and has_dot:
+        raise MalformedRecordError(
+            "amount_planck and amount_dot are mutually exclusive", line_no
+        )
+    if has_planck:
+        amount = _reference_take(obj, "amount_planck", int, line_no)
+        if amount < 0:
+            raise MalformedRecordError("amount_planck must be non-negative", line_no)
+    elif has_dot:
+        raw = obj["amount_dot"]
+        if not isinstance(raw, str):
+            raise MalformedRecordError("amount_dot must be a decimal string", line_no)
+        try:
+            amount = dot_to_planck(raw)
+        except MalformedRecordError as exc:
+            raise MalformedRecordError(exc.reason, line_no) from None
+    else:
+        amount = 0
+
+    transfer = is_transfer_call(module_id, call_id)
+    if transfer:
+        # transfer-shaped records must name both endpoints and an amount
+        if sender is None:
+            raise MissingFieldError("sender", line_no=line_no)
+        if recipient is None:
+            raise MissingFieldError("recipient", line_no=line_no)
+        if not has_planck and not has_dot:
+            raise MissingFieldError("amount_planck", line_no=line_no)
+
+    if block_number < start_block:
+        return "below_start_block"
+    if not transfer:
+        return "non_transfer"
+    if not signed:
+        return "unsigned"
+    if not success:
+        return "failed"
+    if amount == 0:
+        return "zero_amount"
+    return TransferRecord(sender, recipient, amount, block_number, timestamp)
+
+
+def _outcome(parse, line: str):
+    try:
+        return "returned", parse(line, 7, 50)
+    except (MalformedRecordError, RecursionError) as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+ADVERSARIAL_LINES = {
+    "valid": record_line(),
+    "valid_dot": record_line(amount_planck=..., amount_dot="2.5"),
+    "bool_for_int_block": record_line(block_number=True),
+    "bool_for_int_timestamp": record_line(timestamp=False),
+    "bool_for_int_amount": record_line(amount_planck=True),
+    "int_for_bool_signed": record_line(signed=1),
+    "int_for_bool_success": record_line(success=0),
+    "float_block": record_line(block_number=100.0),
+    "string_timestamp": record_line(timestamp="1"),
+    "int_module": record_line(module_id=3),
+    "list_call": record_line(call_id=["transfer"]),
+    "null_block": record_line(block_number=None),
+    "null_module": record_line(module_id=None),
+    "null_signed": record_line(signed=None),
+    "null_sender": record_line(sender=None),
+    "null_amount": record_line(amount_planck=None),
+    "missing_block": record_line(block_number=...),
+    "missing_timestamp": record_line(timestamp=...),
+    "missing_call": record_line(call_id=...),
+    "missing_success": record_line(success=...),
+    "missing_recipient": record_line(recipient=...),
+    "missing_amount": record_line(amount_planck=...),
+    "negative_block": record_line(block_number=-1),
+    "negative_amount": record_line(amount_planck=-5),
+    "both_amounts": record_line(amount_dot="1.5"),
+    "empty_sender": record_line(sender=""),
+    "int_sender": record_line(sender=5),
+    "empty_recipient": record_line(recipient=""),
+    "non_string_dot": record_line(amount_planck=..., amount_dot=1.5),
+    "sub_planck_dot": record_line(amount_planck=..., amount_dot="0.00000000001"),
+    "bad_decimal_dot": record_line(amount_planck=..., amount_dot="1.2.3"),
+    "negative_dot": record_line(amount_planck=..., amount_dot="-1"),
+    "zero_amount": record_line(amount_planck=0),
+    "below_start": record_line(block_number=49),
+    "non_transfer": record_line(module_id="Staking", call_id="bond", sender=...,
+                                recipient=..., amount_planck=...),
+    "unsigned": record_line(signed=False),
+    "failed": record_line(success=False),
+    "mixed_case_call": record_line(call_id="Transfer_Keep_Alive"),
+    "huge_amount": record_line(amount_planck=10**40),
+    "unicode_names": record_line(sender="ünï\u2028", recipient="😀"),
+    "bom": "\ufeff" + record_line(),
+    "two_objects": record_line() + record_line(),
+    "two_objects_spaced": record_line() + " " + record_line(),
+    "trailing_garbage": record_line() + " x",
+    "nan_amount": record_line().replace('"amount_planck": 42', '"amount_planck": NaN'),
+    "infinity_block": record_line().replace('"block_number": 100', '"block_number": Infinity'),
+    "duplicate_keys": record_line()[:-1] + ', "amount_planck": 7, "signed": 1}',
+    "duplicate_keys_fixed": record_line(signed=1)[:-1] + ', "signed": true}',
+    "deep_nesting_ok": record_line()[:-1] + ', "k": ' + "[" * 50 + "]" * 50 + "}",
+    "deep_nesting": record_line()[:-1] + ', "k": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "split_object": record_line()[:40],
+    "not_an_object": "[1, 2]",
+    "scalar": "42",
+    "null": "null",
+    "empty_object": "{}",
+}
+
+
+@pytest.mark.parametrize("line", ADVERSARIAL_LINES.values(), ids=ADVERSARIAL_LINES.keys())
+def test_parse_matches_reference(line):
+    assert _outcome(parse_record, line) == _outcome(reference_parse_record, line)
+
+
 class TestFilter:
     def test_kept(self):
         t = parse_record(record_line())
