@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import logging
 import os
@@ -111,7 +112,11 @@ def _load_pipeline_config(path: str | None) -> dict:
 
 
 def _stage_options(args, config: dict, stage: str, defaults: dict) -> dict:
-    """Resolve one stage's options: CLI flag, else config block, else default."""
+    """Resolve one stage's options: CLI flag, else config block, else default.
+
+    A config value must have its default's type (bool is not an int; an
+    int may stand for a float); a default of None admits any value.
+    """
     block = config.get(stage, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config block {stage!r} must be an object")
@@ -123,6 +128,12 @@ def _stage_options(args, config: dict, stage: str, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = block.get(key, default)
+            kind = type(default)
+            if not (default is None or type(value) is kind
+                    or (kind is float and type(value) is int)):
+                raise ConfigError(
+                    f"config key {stage}.{key} must be {kind.__name__}, got {value!r}"
+                )
         resolved[key] = value
     return resolved
 
@@ -153,6 +164,9 @@ def _detection_options(args, config: dict) -> tuple[DetectionParams, str | None]
     labels path."""
     opts = _stage_options(args, config, "detect", dict(_DETECT_DEFAULTS, labels=None))
     labels_path = opts.pop("labels")
+    # open() takes an int as a file descriptor: 0 would read stdin
+    if labels_path is not None and type(labels_path) is not str:
+        raise ConfigError(f"config key detect.labels must be str, got {labels_path!r}")
     return DetectionParams(**opts), labels_path
 
 
@@ -565,6 +579,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. The cyclic garbage collector is paused meanwhile:
+    the pipeline's large graphs hold no reference cycles, so its passes
+    over them free nothing, and the few cycles a command leaves (mostly
+    argparse's) do not grow with the input."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     level = logging.INFO

@@ -5,7 +5,8 @@ carries block_number, timestamp (milliseconds), module_id, call_id,
 signed and success. Transfer-shaped records additionally carry sender,
 recipient and an amount, either as amount_planck (integer) or as
 amount_dot (decimal string, converted exactly; 1 DOT = 10^10 Planck).
-Unknown fields are ignored so richer exports can be fed in unchanged.
+An amount has at most MAX_AMOUNT_DIGITS digits in Planck. Unknown
+fields are ignored so richer exports can be fed in unchanged.
 
 Only successful, signed balance transfers survive filtering; everything
 else (staking, governance, failed or unsigned calls, zero amounts) is
@@ -15,6 +16,7 @@ dropped and counted by reason. All amounts stay integer Planck end to end.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
@@ -24,6 +26,12 @@ from .errors import ConfigError, MalformedRecordError, MissingFieldError
 from .tables import atomic_output
 
 PLANCK_PER_DOT = 10**10
+
+# Far above any real amount (all DOT ever issued is about 10^19 Planck),
+# and far below the 4300 digits int() converts, so every flux sum and
+# total the pipeline writes stays printable.
+MAX_AMOUNT_DIGITS = 100
+_AMOUNT_LIMIT = 10**MAX_AMOUNT_DIGITS
 
 BALANCES_MODULE = "Balances"
 TRANSFER_CALL_IDS = frozenset({"transfer", "transfer_keep_alive", "transfer_all"})
@@ -86,18 +94,34 @@ def is_transfer_call(module_id: str, call_id: str) -> bool:
 
 
 def dot_to_planck(text: str) -> int:
-    """Convert a decimal DOT string ("1.5") to integer Planck, exactly."""
+    """Convert a decimal DOT string ("1.5") to integer Planck, exactly.
+
+    The result must be whole, non-negative and of at most
+    MAX_AMOUNT_DIGITS digits.
+    """
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise MalformedRecordError(f"invalid decimal amount {text!r}") from None
-    scaled = value * PLANCK_PER_DOT
-    planck = int(scaled)
-    if planck != scaled:
-        raise MalformedRecordError(f"amount {text!r} is below Planck resolution")
-    if planck < 0:
+    if not value.is_finite():
+        raise MalformedRecordError(f"amount {text!r} is not a finite number")
+    if not value:
+        return 0
+    # integer arithmetic on the digits: Decimal arithmetic would round
+    # to the context's 28 significant digits
+    sign, digits, exponent = value.as_tuple()
+    shift = exponent + 10  # the amount is digits * 10**shift Planck
+    if shift < 0:
+        if any(digits[shift:]):
+            raise MalformedRecordError(f"amount {text!r} is below Planck resolution")
+        digits, shift = digits[:shift], 0
+    if sign:
         raise MalformedRecordError(f"amount {text!r} is negative")
-    return planck
+    if len(digits) + shift > MAX_AMOUNT_DIGITS:
+        raise MalformedRecordError(
+            f"amount {text!r} has more than {MAX_AMOUNT_DIGITS} digits in Planck"
+        )
+    return int("".join(map(str, digits))) * 10**shift
 
 
 def _field_error(obj: dict, key: str, kind, line_no) -> MalformedRecordError:
@@ -123,11 +147,37 @@ def parse_record(
     reason is the first of DROP_REASONS the record meets: a block below
     start_block; not a Balances transfer call; unsigned; failed; a zero
     amount.
+
+    A line in the canonical layout (see _canonical_match) is read
+    without json.loads, with the same outcome as the json path below.
     """
+    m = _canonical_match(line)
+    if m is not None:
+        block, timestamp, module_id, call_id, signed, success, sender, recipient, amount = (
+            m.groups())
+        transfer = is_transfer_call(module_id, call_id)
+        # a transfer without endpoints takes the json path, which raises
+        # its MissingFieldError
+        if sender is not None or not transfer:
+            block_number = int(block)
+            if block_number < start_block:
+                return "below_start_block"
+            if not transfer:
+                return "non_transfer"
+            if signed == "false":
+                return "unsigned"
+            if success == "false":
+                return "failed"
+            if amount == "0":
+                return "zero_amount"
+            return TransferRecord(sender, recipient, int(amount), block_number, int(timestamp))
+
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"invalid JSON: {exc.msg}", line_no) from None
+    except ValueError:  # an integer literal longer than int() converts
+        raise MalformedRecordError("invalid JSON: integer has too many digits", line_no) from None
     if type(obj) is not dict:
         raise MalformedRecordError("record is not an object", line_no)
 
@@ -174,6 +224,10 @@ def parse_record(
             raise _field_error(obj, "amount_planck", int, line_no)
         if amount < 0:
             raise MalformedRecordError("amount_planck must be non-negative", line_no)
+        if amount >= _AMOUNT_LIMIT:
+            raise MalformedRecordError(
+                f"amount_planck has more than {MAX_AMOUNT_DIGITS} digits", line_no
+            )
     elif has_dot:
         if type(raw) is not str:
             raise MalformedRecordError("amount_dot must be a decimal string", line_no)
@@ -267,6 +321,27 @@ def transfer_line(t: TransferRecord) -> str:
             t.amount_planck,
         )
     )
+
+
+# The layout transfer_line writes and synth emits: these keys in this
+# order, one space after each ',' and ':', and the last three only
+# together. Each group matches only a valid value, so a matching line
+# needs no further checks: an integer without leading zeros (only the
+# timestamp may be negative) and of at most _FAST_DIGITS digits, far
+# below int()'s limit and MAX_AMOUNT_DIGITS; a string without quote,
+# backslash or control character, whose JSON value is its text; a
+# non-empty endpoint. Any other layout takes parse_record's json path.
+_FAST_DIGITS = 30
+_NUMBER = "(?:0|[1-9][0-9]{0,%d})" % (_FAST_DIGITS - 1)
+_TEXT = r'"([^"\\\x00-\x1f]*)"'
+_ENDPOINT = r'"([^"\\\x00-\x1f]+)"'
+_canonical_match = re.compile(
+    r'\{"block_number": (' + _NUMBER + '), "timestamp": (-?' + _NUMBER + '), '
+    '"module_id": ' + _TEXT + ', "call_id": ' + _TEXT + ', '
+    '"signed": (true|false), "success": (true|false)'
+    '(?:, "sender": ' + _ENDPOINT + ', "recipient": ' + _ENDPOINT + ', '
+    '"amount_planck": (' + _NUMBER + r'))?\}\n?'
+).fullmatch
 
 
 def write_transfers(path: str, transfers: Iterable[TransferRecord]) -> int:

@@ -20,6 +20,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Te
 
 from .errors import MalformedRecordError
 
+# Room for any sum of amounts the pipeline writes (an amount has at most
+# records.MAX_AMOUNT_DIGITS digits), and far enough below the 4300 digits
+# int() converts that sums of cells stay printable.
+MAX_INT_DIGITS = 1000
+
 
 @contextlib.contextmanager
 def atomic_output(path: str) -> Iterator[TextIO]:
@@ -104,6 +109,12 @@ def read_table(
                     if not (cell.isdigit() and cell.isascii()):
                         raise MalformedRecordError(
                             f"{header[i]} must be a non-negative integer, got {cell!r}",
+                            reader.line_num,
+                            path,
+                        )
+                    if len(cell) > MAX_INT_DIGITS:
+                        raise MalformedRecordError(
+                            f"{header[i]} has more than {MAX_INT_DIGITS} digits",
                             reader.line_num,
                             path,
                         )

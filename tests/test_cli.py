@@ -1,5 +1,7 @@
 """Command line interface: exit codes, stage chaining, config precedence."""
 
+import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -72,6 +74,26 @@ class TestExitCodes:
         code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
                          "--config", str(cfg), "--quiet"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key,value", [
+        ("detect.top_k", "60"),
+        ("detect.min_neighbors", True),
+        ("detect.deposit_forward_fraction", "0.5"),
+        ("detect.labels", 0),
+        ("ingest.start_block", 1.5),
+        ("ingest.on_error", None),
+        ("run.verify", "yes"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, ledger, capsys, key, value):
+        _, path, _ = ledger
+        stage, name = key.split(".")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({stage: {name: value}}))
+        code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
+                         "--config", str(cfg), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_record_fail_vs_skip(self, tmp_path, ledger):
         _, path, _ = ledger
@@ -206,7 +228,11 @@ class TestMalformedFiles:
     """Bad rows in the CSV files the stages hand over end in exit 4 with
     file and line named; they never escape as a traceback."""
 
-    @pytest.mark.parametrize("row", ["b,c,12x,1", "b,c,-5,1", "b,c,5", "b,c,0,1"])
+    @pytest.mark.parametrize("row", [
+        "b,c,12x,1", "b,c,-5,1", "b,c,5", "b,c,0,1",
+        pytest.param("b,c," + "1" * 1001 + ",1", id="flux_past_digit_bound"),
+        pytest.param("b,c,1," + "1" * 4301, id="multiplicity_past_int_limit"),
+    ])
     def test_stats_on_bad_edge_row(self, tmp_path, capsys, row):
         graph = write_graph(tmp_path / "graph", [row])
         code = cli.main(["stats", "--graph", graph, "--quiet"])
@@ -262,6 +288,30 @@ class TestMalformedFiles:
         assert "Traceback" not in err
         # no partial out.jsonl or out/transfers.jsonl, and no temp file
         assert files_under(tmp_path) == ["bad.jsonl"]
+
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("block_number", "1" * 4301, id="block_past_int_limit"),
+        pytest.param("amount_dot", '"NaN"', id="dot_nan"),
+        pytest.param("amount_dot", '"1e5000"', id="dot_unprintable"),
+    ])
+    def test_unconvertible_number_in_ledger(self, tmp_path, ledger, capsys, field, value):
+        _, path, _ = ledger
+        with open(path, "r", encoding="utf-8") as src:
+            good = src.readline()
+        record = json.loads(good)
+        record.pop("amount_planck", None)
+        record[field] = 0
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good + json.dumps(record).replace(f'"{field}": 0', f'"{field}": {value}')
+                       + "\n" + good)
+        code = cli.main(["ingest", "--input", str(bad), "--output",
+                         str(tmp_path / "fail.jsonl"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert f"error: {bad}:2: " in capsys.readouterr().err
+        code = cli.main(["ingest", "--input", str(bad), "--output",
+                         str(tmp_path / "skip.jsonl"), "--on-error", "skip", "--quiet"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["error_lines"] == 1
 
     @pytest.mark.parametrize("command", ["ingest", "build"])
     def test_record_error_names_file(self, tmp_path, ledger, capsys, command):
@@ -419,6 +469,15 @@ class TestConfigPrecedence:
         emitted = json.loads(capsys.readouterr().out)
         assert emitted["exchange_clusters"] == 2
 
+    def test_int_config_value_for_float_option(self, tmp_path, ledger, capsys):
+        _, path, _ = ledger
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"detect": {"deposit_forward_fraction": 1}}))
+        code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
+                         "--config", str(cfg), "--quiet"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["exchange_clusters"] == 2
+
     def test_run_block_enables_verify(self, tmp_path, ledger, capsys):
         _, path, _ = ledger
         cfg = tmp_path / "pipeline.json"
@@ -441,6 +500,64 @@ class TestConfigPrecedence:
         assert emitted["kept"] == 0
         assert emitted["parsed"] == truth.record_count
         assert emitted["dropped"] == truth.record_count
+
+
+class TestCollector:
+    """main pauses the cyclic garbage collector for one command and then
+    restores it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, tmp_path, ledger, monkeypatch, enabled):
+        _, path, _ = ledger
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        seen = []
+        ingest_stage = cli._ingest
+        monkeypatch.setattr(cli, "_ingest", lambda *a: seen.append(gc.isenabled())
+                            or ingest_stage(*a))
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert cli.main(["ingest", "--input", path, "--output",
+                             str(tmp_path / "a.jsonl"), "--quiet"]) == cli.EXIT_OK
+            assert gc.isenabled() is enabled
+            assert cli.main(["ingest", "--input", str(bad), "--output",
+                             str(tmp_path / "b.jsonl"), "--quiet"]) == cli.EXIT_MALFORMED
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                cli.main(["ingest", "--no-such-flag"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert seen == [False, False]
+
+    def test_cycles_left_do_not_grow_with_input(self, tmp_path):
+        def scaled(n: int) -> ScenarioConfig:
+            return dataclasses.replace(
+                SCENARIO, user_count=SCENARIO.user_count * n,
+                exchanges=[dataclasses.replace(e, deposit_addresses=e.deposit_addresses * n,
+                                               withdrawals=e.withdrawals * n,
+                                               inter_exchange_tx=e.inter_exchange_tx * n)
+                           for e in SCENARIO.exchanges])
+
+        def cycles_left(n: int) -> int:
+            path = tmp_path / f"ledger{n}.jsonl"
+            generate_to_file(scaled(n), str(path))
+            gc.collect()
+            code = cli.main(["run", "--input", str(path), "--output", str(tmp_path / f"out{n}"),
+                             "--verify", "--quiet"])
+            assert code == cli.EXIT_OK
+            return gc.collect()
+
+        caller = gc.isenabled()
+        gc.disable()  # count every cycle left, none freed by an automatic pass
+        try:
+            cycles_left(1)  # first-use set-up, such as imports
+            small, large = cycles_left(1), cycles_left(4)
+        finally:
+            if caller:
+                gc.enable()
+        assert large <= small
 
 
 class TestSynthCommand:

@@ -3,10 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fluxgraph import records
 from fluxgraph.errors import MalformedRecordError, MissingFieldError
 from fluxgraph.records import (
+    MAX_AMOUNT_DIGITS,
     PLANCK_PER_DOT,
     IngestSummary,
     TransferRecord,
@@ -61,6 +63,25 @@ class TestDotToPlanck:
     def test_garbage_rejected(self):
         with pytest.raises(MalformedRecordError):
             dot_to_planck("12.5 DOT")
+
+    def test_exact_beyond_decimal_context_precision(self):
+        # Decimal arithmetic rounds to 28 significant digits
+        assert (dot_to_planck("12345678901234567890.1234567891")
+                == 123456789012345678901234567891)
+        for text in ("1." + "0" * 40 + "1", "1e-99999999"):
+            with pytest.raises(MalformedRecordError, match="below Planck resolution"):
+                dot_to_planck(text)
+
+    def test_digit_bound(self):
+        largest = "9" * (MAX_AMOUNT_DIGITS - 10)
+        assert dot_to_planck(largest) == int(largest) * PLANCK_PER_DOT
+        with pytest.raises(MalformedRecordError, match="more than"):
+            dot_to_planck("1" + "0" * (MAX_AMOUNT_DIGITS - 10))
+
+    @pytest.mark.parametrize("text", ["NaN", "-Infinity", "sNaN", "Infinity"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(MalformedRecordError, match="not a finite number"):
+            dot_to_planck(text)
 
     @given(st.integers(min_value=0, max_value=10**19))
     def test_round_trip_from_planck(self, planck):
@@ -229,9 +250,9 @@ def reference_parse_record(
     return TransferRecord(sender, recipient, amount, block_number, timestamp)
 
 
-def _outcome(parse, line: str):
+def _outcome(parse, line: str, start_block: int = 50):
     try:
-        return "returned", parse(line, 7, 50)
+        return "returned", parse(line, 7, start_block)
     except (MalformedRecordError, RecursionError) as exc:
         return "raised", type(exc), str(exc), getattr(exc, "line_no", None)
 
@@ -299,6 +320,163 @@ ADVERSARIAL_LINES = {
 @pytest.mark.parametrize("line", ADVERSARIAL_LINES.values(), ids=ADVERSARIAL_LINES.keys())
 def test_parse_matches_reference(line):
     assert _outcome(parse_record, line) == _outcome(reference_parse_record, line)
+
+
+# Numbers int(), Decimal or the writers cannot handle: each exited 1
+# with a traceback, even under on_error="skip", or was kept and then
+# failed in transfer_line.
+UNCONVERTIBLE_LINES = {
+    "long_block": record_line().replace('"block_number": 100', '"block_number": ' + "1" * 4301),
+    "long_unknown_field": record_line()[:-1] + ', "fee": ' + "7" * 5000 + "}",
+    "dot_nan": record_line(amount_planck=..., amount_dot="NaN"),
+    "dot_infinity": record_line(amount_planck=..., amount_dot="Infinity"),
+    "dot_snan": record_line(amount_planck=..., amount_dot="sNaN"),
+    "dot_overflow": record_line(amount_planck=..., amount_dot="1e1000000"),
+    "dot_unprintable": record_line(amount_planck=..., amount_dot="1e5000"),
+    "dot_slow": record_line(amount_planck=..., amount_dot="1e100000"),
+    "planck_past_bound": record_line(amount_planck=10**MAX_AMOUNT_DIGITS),
+}
+
+
+@pytest.mark.parametrize("line", UNCONVERTIBLE_LINES.values(), ids=UNCONVERTIBLE_LINES.keys())
+def test_unconvertible_numbers_are_malformed(line):
+    with pytest.raises(MalformedRecordError) as exc:
+        parse_record(line, 7)
+    assert exc.value.line_no == 7
+    summary = IngestSummary()
+    kept = list(ingest([record_line(), line], on_error="skip", summary=summary))
+    assert kept == [parse_record(record_line())]
+    assert (summary.error_lines, summary.parsed) == (1, 1)
+
+
+def test_amount_at_digit_bound_is_kept():
+    amount = 10**MAX_AMOUNT_DIGITS - 1
+    t = parse_record(record_line(amount_planck=amount))
+    assert t.amount_planck == amount
+    assert parse_record(transfer_line(t)) == t
+
+
+def test_canonical_layouts_take_the_fast_path():
+    """What transfer_line writes and synth emits is the layout the fast
+    path reads; a change to either would silently lose it."""
+    from fluxgraph.synth import ScenarioConfig, generate
+
+    lines, _truth = generate(ScenarioConfig(seed=3, user_count=40,
+                                            nontransfer_noise_rate=0.2,
+                                            failed_noise_rate=0.2,
+                                            zero_amount_noise_rate=0.2))
+    lines.append(transfer_line(TransferRecord("a", "b", 7, 0, -3)))
+    assert any("sender" not in line for line in lines)  # noise records
+    assert all(records._canonical_match(line + "\n") for line in lines)
+
+
+# -- the fast path against the reference, on canonical lines and near-misses
+
+_FAST = records._FAST_DIGITS
+_ODD_NUMBERS = st.one_of(
+    st.integers(min_value=-10**6, max_value=-1).map(str),
+    st.sampled_from([
+        "-0", "00", "007", "-007", "1.0", "1e3", "true", "null", '"5"',
+        "9" * (_FAST + 1), "1" + "0" * _FAST, "-" + "1" + "0" * _FAST,
+    ]),
+)
+_NUMBERS = st.one_of(
+    st.integers(min_value=0, max_value=10**15).map(str),
+    st.sampled_from(["0", "9" * _FAST, "1" + "0" * (_FAST - 1)]),
+)
+_ODD_CHARS = st.sampled_from(['"', '\\', '\x00', '\x1f', '\t', '\n', '\x7f', 'ü', '😀'])
+
+
+def _number(draw, odd, signed=False):
+    if odd:
+        return draw(_ODD_NUMBERS)
+    text = draw(_NUMBERS)
+    return "-" + text if signed and draw(st.booleans()) else text
+
+
+def _boolean(draw, odd):
+    return draw(st.sampled_from(["1", "0", "null", '"true"'] if odd else ["true", "false"]))
+
+
+def _string(draw, odd, common):
+    value = draw(st.sampled_from(common))
+    if not odd:
+        return '"' + value + '"'
+    char = draw(_ODD_CHARS)
+    value = draw(st.sampled_from([value + char, char + value, ""]))
+    render = draw(st.sampled_from(["raw", "raw", "dumps", "dumps_utf8", "escaped"]))
+    if render == "raw":
+        return '"' + value + '"'
+    if render == "escaped" and value:  # one character as a \uXXXX escape
+        i = draw(st.integers(0, len(value) - 1))
+        return (json.dumps(value[:i])[:-1] + "\\u%04x" % ord(value[i])
+                + json.dumps(value[i + 1:])[1:])
+    return json.dumps(value, ensure_ascii=render == "dumps")
+
+
+_PARTS = ("block_number", "timestamp", "module_id", "call_id", "signed", "success",
+          "sender", "recipient", "amount_planck", "tail", "layout", "end")
+
+
+@st.composite
+def record_lines(draw):
+    """A record line in the canonical layout, or with one or two near
+    misses of it: a field's value or its rendering, the endpoints-and-amount
+    tail, the key order and spacing, the line end."""
+    count = draw(st.sampled_from([0, 1, 1, 2]))
+    odd = set(draw(st.lists(st.sampled_from(_PARTS), min_size=count, max_size=count)))
+    fields = [
+        ("block_number", _number(draw, "block_number" in odd)),
+        ("timestamp", _number(draw, "timestamp" in odd, signed=True)),
+        ("module_id", _string(draw, "module_id" in odd,
+                              ["Balances"] * 4 + ["balances", "Staking", ""])),
+        ("call_id", _string(draw, "call_id" in odd, ["transfer"] * 3 + [
+            "Transfer_Keep_Alive", "transfer_all", "bond", "force_transfer"])),
+        ("signed", _boolean(draw, "signed" in odd)),
+        ("success", _boolean(draw, "success" in odd)),
+    ]
+    tail = [(key, _string(draw, key in odd, ["alice", "bob", "U0000001", "ünï"]))
+            for key in ("sender", "recipient")]
+    tail.append(("amount_planck", _number(draw, "amount_planck" in odd)))
+    if "tail" in odd:
+        del tail[draw(st.integers(0, 2))]
+        fields += tail
+    elif draw(st.integers(0, 3)):
+        fields += tail
+    comma, colon, end = ", ", ": ", draw(st.sampled_from(["", "\n"]))
+    if "layout" in odd:
+        fields = draw(st.permutations(fields)) if draw(st.booleans()) else fields
+        comma = draw(st.sampled_from([", ", ",", " , ", ",  "]))
+        colon = draw(st.sampled_from([": ", ":", " : "]))
+        if draw(st.booleans()):
+            fields = fields + [("fee", _number(draw, False))]
+    if "end" in odd:
+        end = draw(st.sampled_from(["\r\n", " ", "\n\n", "\t\n", " x"]))
+    return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in fields) + "}" + end
+
+
+@settings(max_examples=600, deadline=None)
+@given(record_lines(), st.integers(min_value=-2, max_value=10**15), st.booleans())
+@example('{"block_number": 5, "timestamp": 1, "module_id": "Balances", "call_id": "transfer", '
+         '"signed": true, "success": true}\n', 0, False)
+@example(transfer_line(TransferRecord("a", "b", 5, -1, 0)), 0, False)
+@example(transfer_line(TransferRecord("a", "b", 5, 100, 1)).replace(": 1,", ": -0,"), 100, False)
+@example(transfer_line(TransferRecord("a", "b", 5, 100, 1)), 101, False)
+@example(transfer_line(TransferRecord("a\tb", "c", 5, 100, 1)).replace("\\t", "\t"), 0, False)
+def test_fast_path_matches_reference(line, start_block, near_block):
+    block = _block_of(line)
+    if near_block and block is not None:  # start_block on either side of it
+        start_block = block + start_block % 3 - 1
+    assert (_outcome(parse_record, line, start_block)
+            == _outcome(reference_parse_record, line, start_block))
+
+
+def _block_of(line: str):
+    try:
+        block = json.loads(line)["block_number"]
+    except (ValueError, TypeError, KeyError):
+        return None
+    return block if type(block) is int else None
 
 
 class TestFilter:
