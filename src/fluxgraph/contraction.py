@@ -8,16 +8,17 @@ aggregated per ordered cluster pair. The result is properly colored by
 construction: an edge between two same-colored clusters is impossible,
 because that edge would have merged them.
 
-Two independent routes compute the quotient. contract() discovers
-clusters by breadth-first search along the graph's own adjacency,
-following only same-colored neighbors, and works on the graph's
-interned node ids; it is the production path.
-oracle_contract() re-derives everything from a plain disjoint-set
-forest and a full edge re-scan; it exists for tests and for the
---verify pipeline flag, and stays deliberately naive. Both feed the
-same deterministic numbering rule, so equal quotients get equal ids.
-canonical_form() keys clusters by their sorted member sets so outputs
-can be compared across processing orders, byte for byte.
+Two independent routes compute the quotient. contract() makes one
+pass over the graph's edge table, joining the endpoints of each
+monochromatic edge in a disjoint-set forest over interned node ids, and
+a second pass that aggregates the edges per cluster pair; it is the
+production path. oracle_contract() re-derives everything from its own
+disjoint-set forest over account names and a full edge re-scan; it
+exists for tests and for the --verify pipeline flag, and stays
+deliberately naive. Both feed the same deterministic numbering rule, so
+equal quotients get equal ids. canonical_form() keys clusters by their
+sorted member sets so outputs can be compared across processing orders,
+byte for byte.
 
 Accounting is conserved exactly: member counts sum to the original
 order, intra plus cross transfer counts to the original transaction
@@ -205,27 +206,39 @@ def contract(
     coloring does not cover every node.
     """
     color = _colors_by_id(graph, coloring)
-    out_adj, in_adj = graph.out_adj, graph.in_adj
-    order = graph.name_order()
+    src, dst = graph.src, graph.dst
 
-    # Breadth first from each unvisited node in name order, so a
-    # component's discovery index orders like its smallest member name.
-    component = [-1] * len(color)
-    keys: list[tuple[int, int, int]] = []
-    for seed in order:
-        if component[seed] >= 0:
+    # Join the endpoints of every monochromatic edge in a disjoint-set
+    # forest over node ids, halving each path as it is walked.
+    parent = list(range(len(color)))
+    for a, b in zip(src, dst):
+        if color[a] != color[b]:
             continue
-        idx = len(keys)
-        shade = color[seed]
-        members = [seed]
-        component[seed] = idx
-        for node in members:  # members grows while it is walked
-            for near in (out_adj[node], in_adj[node]):
-                for nxt in near:
-                    if component[nxt] < 0 and color[nxt] == shade:
-                        component[nxt] = idx
-                        members.append(nxt)
-        keys.append((shade, len(members), idx))
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+
+    # Number the components in name order of their first member, so a
+    # component's index orders like its smallest member name.
+    order = graph.name_order()
+    component = [-1] * len(color)
+    shades: list[int] = []
+    sizes: list[int] = []
+    for node in order:
+        root = node
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        idx = component[root]
+        if idx < 0:
+            idx = component[root] = len(sizes)
+            shades.append(color[node])
+            sizes.append(0)
+        component[node] = idx
+        sizes[idx] += 1
+    keys = list(zip(shades, sizes, range(len(sizes))))
 
     ids = _number_clusters(keys)
     contracted = ContractedGraph()
@@ -234,21 +247,20 @@ def contract(
         nodes[ids[idx]] = ContractedNode(ids[idx], shade, size, 0, 0)
     cluster_of = [ids[idx] for idx in component]
     edges = contracted.edges
-    for s, targets in enumerate(out_adj):
+    for s, r, flux, mult in zip(src, dst, graph.flux, graph.mult):
         cu = cluster_of[s]
-        for r, agg in targets.items():
-            cv = cluster_of[r]
-            if cu == cv:
-                node = nodes[cu]
-                node.intra_flux += agg.flux
-                node.intra_tx_count += agg.multiplicity
+        cv = cluster_of[r]
+        if cu == cv:
+            node = nodes[cu]
+            node.intra_flux += flux
+            node.intra_tx_count += mult
+        else:
+            cross = edges.get((cu, cv))
+            if cross is None:
+                edges[(cu, cv)] = EdgeAggregate(flux, mult)
             else:
-                cross = edges.get((cu, cv))
-                if cross is None:
-                    edges[(cu, cv)] = EdgeAggregate(agg.flux, agg.multiplicity)
-                else:
-                    cross.flux += agg.flux
-                    cross.multiplicity += agg.multiplicity
+                cross.flux += flux
+                cross.multiplicity += mult
     names = graph.names
     # in name order, so save_contracted streams it without sorting
     assignment = {names[i]: cluster_of[i] for i in order}

@@ -106,29 +106,35 @@ def is_deposit_address(
     """
     m = graph.id_of(main)
     c = graph.id_of(candidate)
-    out_edges = graph.out_adj[c]
+    adj = graph.adjacency()
+    src, dst, flux = graph.src, graph.dst, graph.flux
 
     wanted = params.min_deposit_inflows
     inflows = 0
-    for source in graph.in_adj[c]:
-        if source != m:
+    for e in adj.incoming(c):
+        if src[e] != m:
             inflows += 1
             if inflows >= wanted:
                 break
     if inflows < wanted:
         return False
 
-    to_main = out_edges.get(m)
+    out_edges = adj.outgoing(c)
+    to_main = None
+    out_flux = 0
+    for e in out_edges:
+        out_flux += flux[e]
+        if dst[e] == m:
+            to_main = flux[e]
     if to_main is None:
         return False
-    out_flux = sum(agg.flux for agg in out_edges.values())
     # to_main / out_flux >= num / den, and every other share below 1 - num / den
     num, den = params._forward_ratio
-    if to_main.flux * den < num * out_flux:
+    if to_main * den < num * out_flux:
         return False
     residue = (den - num) * out_flux
-    for target, agg in out_edges.items():
-        if target != m and agg.flux * den >= residue:
+    for e in out_edges:
+        if dst[e] != m and flux[e] * den >= residue:
             return False
     return True
 
@@ -145,8 +151,9 @@ def classify_exchange(
     (main plus its deposits) or None.
     """
     node = graph.id_of(account)
-    near = set(graph.out_adj[node])
-    near.update(graph.in_adj[node])
+    adj = graph.adjacency()
+    near = set(map(graph.dst.__getitem__, adj.outgoing(node)))
+    near.update(map(graph.src.__getitem__, adj.incoming(node)))
     near.discard(node)
     if len(near) < params.min_neighbors:
         return None

@@ -5,12 +5,19 @@ carrying flux (sum of amounts, Planck) and multiplicity (transfer
 count). Self-loops are kept.
 
 Each account is interned to a dense int id the first time the graph
-sees it: names[i] is the account with id i, and ids maps it back. Out-
-and in-adjacency are lists of dicts keyed by id that share EdgeAggregate
-instances, so per-node neighborhood scans used by the exchange
-heuristics are O(degree), and each node's transaction-count degree is
-kept up to date while folding. Account strings appear only where the
-graph meets files and callers.
+sees it: names[i] is the account with id i, and ids maps it back.
+Account strings appear only where the graph meets files and callers.
+
+Edges live in one append-only table of four parallel lists: edge e runs
+from node src[e] to node dst[e] and carries flux[e] Planck over mult[e]
+transfers. An edge is appended the first time its ordered pair is seen
+and never moves; later transfers on the pair add to its flux and mult.
+While folding, a dedup index maps each pair's packed key, src << ID_BITS
+| dst, to its edge id. adjacency() groups the edge ids by source and by
+target behind two offset arrays of one machine word per node, keeps them
+until an edge or a node is added, and drops the dedup index; the next
+fold rebuilds it from the table. degrees[i], the transfers in and out of
+node i with a self-loop's counted once, is kept up to date while folding.
 """
 
 from __future__ import annotations
@@ -18,12 +25,18 @@ from __future__ import annotations
 import heapq
 import operator
 import os
+from array import array
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, KeysView, Optional
+from itertools import accumulate
+from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import UnknownAccountError
 from .records import TransferRecord
 from .tables import read_table, write_table
+
+# Width of one node id in a packed pair key: two distinct id pairs never
+# share a key while every id is below 1 << ID_BITS, which _intern enforces.
+ID_BITS = 32
 
 
 @dataclass(slots=True)
@@ -43,22 +56,53 @@ class GraphStats:
         return asdict(self)
 
 
+class Adjacency(NamedTuple):
+    """Edge ids grouped by endpoint: the edges leaving node v are
+    out_edges[out_offsets[v]:out_offsets[v + 1]] and those entering it
+    in_edges[in_offsets[v]:in_offsets[v + 1]], each group in edge-id
+    order."""
+
+    out_offsets: array
+    out_edges: array
+    in_offsets: array
+    in_edges: array
+
+    def outgoing(self, node: int) -> array:
+        return self.out_edges[self.out_offsets[node]:self.out_offsets[node + 1]]
+
+    def incoming(self, node: int) -> array:
+        return self.in_edges[self.in_offsets[node]:self.in_offsets[node + 1]]
+
+
+def _grouped(endpoint: list[int], order: int) -> tuple[array, array]:
+    """Offsets and edge ids of the edges grouped by endpoint[e]."""
+    counts = [0] * (order + 1)
+    for node in endpoint:
+        counts[node + 1] += 1
+    offsets = array("q", accumulate(counts))
+    del counts
+    # the sort is stable, so each group stays in edge-id order
+    return offsets, array("q", sorted(range(len(endpoint)), key=endpoint.__getitem__))
+
+
 class AggregatedGraph:
     """Directed graph of accounts with flux/multiplicity edge weights.
 
-    names, ids, out_adj, in_adj and degrees are the interned core, read
-    by the layers above; only the methods below change them.
-    degrees[i] counts the transfers in and out of node i, with a
-    self-loop's transfers counted once, not twice.
+    names, ids, degrees and the edge table src, dst, flux and mult are
+    the interned core, read by the layers above; only the methods below
+    change them.
     """
 
     def __init__(self):
         self.names: list[str] = []
         self.ids: dict[str, int] = {}
-        self.out_adj: list[dict[int, EdgeAggregate]] = []
-        self.in_adj: list[dict[int, EdgeAggregate]] = []
         self.degrees: list[int] = []
-        self._edge_count = 0
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.flux: list[int] = []
+        self.mult: list[int] = []
+        self._index: Optional[dict[int, int]] = {}
+        self._adjacency: Optional[Adjacency] = None
         self._tx_count = 0
         self._flux = 0
         self._name_order: list[int] = []
@@ -66,11 +110,16 @@ class AggregatedGraph:
     # -- construction -------------------------------------------------
 
     def _intern(self, account: str) -> int:
-        node = self.ids[account] = len(self.names)
+        node = len(self.names)
+        if node >> ID_BITS:
+            raise OverflowError(
+                f"cannot add account {account!r}: a graph holds at most "
+                f"{1 << ID_BITS} accounts"
+            )
+        self.ids[account] = node
         self.names.append(account)
-        self.out_adj.append({})
-        self.in_adj.append({})
         self.degrees.append(0)
+        self._adjacency = None
         return node
 
     def add_node(self, account: str) -> None:
@@ -98,20 +147,34 @@ class AggregatedGraph:
         r = ids.get(recipient)
         if r is None:
             r = self._intern(recipient)
-        targets = self.out_adj[s]
-        agg = targets.get(r)
-        if agg is None:
-            agg = targets[r] = EdgeAggregate(0, 0)
-            self.in_adj[r][s] = agg
-            self._edge_count += 1
-        agg.flux += flux
-        agg.multiplicity += mult
+        index = self._index
+        if index is None:
+            index = self._reindex()
+        key = s << ID_BITS | r
+        e = index.get(key)
+        if e is None:
+            index[key] = len(self.src)
+            self._adjacency = None
+            self.src.append(s)
+            self.dst.append(r)
+            self.flux.append(flux)
+            self.mult.append(mult)
+        else:
+            self.flux[e] += flux
+            self.mult[e] += mult
         degrees = self.degrees
         degrees[s] += mult
         if r != s:
             degrees[r] += mult
         self._tx_count += mult
         self._flux += flux
+
+    def _reindex(self) -> dict[int, int]:
+        """Rebuild the dedup index that adjacency() dropped."""
+        index = self._index = {
+            s << ID_BITS | r: e for e, (s, r) in enumerate(zip(self.src, self.dst))
+        }
+        return index
 
     # -- inspection ----------------------------------------------------
 
@@ -126,7 +189,7 @@ class AggregatedGraph:
 
     @property
     def aggregated_size(self) -> int:
-        return self._edge_count
+        return len(self.src)
 
     @property
     def transaction_count(self) -> int:
@@ -137,11 +200,11 @@ class AggregatedGraph:
         return self._flux
 
     def edges(self) -> Iterator[tuple[str, str, EdgeAggregate]]:
+        """(sender, recipient, aggregate) per edge, in edge-id order. Each
+        aggregate is a fresh copy of the edge's weights."""
         names = self.names
-        for s, targets in enumerate(self.out_adj):
-            sender = names[s]
-            for r, agg in targets.items():
-                yield sender, names[r], agg
+        for s, r, flux, mult in zip(self.src, self.dst, self.flux, self.mult):
+            yield names[s], names[r], EdgeAggregate(flux, mult)
 
     def has_node(self, account: str) -> bool:
         return account in self.ids
@@ -151,6 +214,16 @@ class AggregatedGraph:
             return self.ids[account]
         except KeyError:
             raise UnknownAccountError(account) from None
+
+    def adjacency(self) -> Adjacency:
+        """The edge ids grouped by source and by target. Worked out once
+        and kept until an edge or a node is added; drops the dedup index,
+        which only folding needs."""
+        self._index = None
+        if self._adjacency is None:
+            order = len(self.names)
+            self._adjacency = Adjacency(*_grouped(self.src, order), *_grouped(self.dst, order))
+        return self._adjacency
 
     def name_order(self) -> list[int]:
         """Node ids in ascending account-name order. Worked out once and
@@ -201,17 +274,18 @@ EDGES_HEADER = ["sender", "recipient", "flux_planck", "multiplicity"]
 
 def _edge_rows(graph: AggregatedGraph) -> Iterator[tuple]:
     """Edge rows ordered by (sender, recipient) name."""
-    names = graph.names
-    by_name = names.__getitem__
-    out_adj = graph.out_adj
-    for s in graph.name_order():
-        targets = out_adj[s]
-        if not targets:
-            continue
-        sender = names[s]
-        for r in sorted(targets, key=by_name) if len(targets) > 1 else targets:
-            agg = targets[r]
-            yield sender, names[r], agg.flux, agg.multiplicity
+    names, src, dst, flux, mult = graph.names, graph.src, graph.dst, graph.flux, graph.mult
+    by_name = graph.name_order()
+    order = len(by_name)
+    rank = [0] * order  # rank[i] is node i's position in name order
+    for position, node in enumerate(by_name):
+        rank[node] = position
+    keys = [rank[s] * order + rank[r] for s, r in zip(src, dst)]
+    del rank
+    rows = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    for e in rows:
+        yield names[src[e]], names[dst[e]], flux[e], mult[e]
 
 
 def save_graph(graph: AggregatedGraph, directory: str) -> None:

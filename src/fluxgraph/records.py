@@ -93,12 +93,24 @@ def is_transfer_call(module_id: str, call_id: str) -> bool:
     return module_id == BALANCES_MODULE and call_id.lower() in TRANSFER_CALL_IDS
 
 
+# Plain ASCII decimal notation: digits with an optional fraction and an
+# optional exponent, signed so that a negative amount is reported as one.
+# Decimal() alone would also read underscores, surrounding whitespace and
+# non-ASCII digits.
+_decimal_match = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?").fullmatch
+_non_finite_match = re.compile(r"[+-]?(?:inf(?:inity)?|s?nan[0-9]*)", re.IGNORECASE).fullmatch
+
+
 def dot_to_planck(text: str) -> int:
     """Convert a decimal DOT string ("1.5") to integer Planck, exactly.
 
-    The result must be whole, non-negative and of at most
-    MAX_AMOUNT_DIGITS digits.
+    The text must be in plain ASCII decimal notation, and the result
+    whole, non-negative and of at most MAX_AMOUNT_DIGITS digits.
     """
+    if _decimal_match(text) is None:
+        if _non_finite_match(text) is not None:
+            raise MalformedRecordError(f"amount {text!r} is not a finite number")
+        raise MalformedRecordError(f"invalid decimal amount {text!r}")
     try:
         value = Decimal(text)
     except InvalidOperation:

@@ -19,7 +19,11 @@ settings.load_profile("suite")
 def edge(graph: AggregatedGraph, sender: str, recipient: str) -> EdgeAggregate | None:
     if not (graph.has_node(sender) and graph.has_node(recipient)):
         return None
-    return graph.out_adj[graph.id_of(sender)].get(graph.id_of(recipient))
+    r = graph.id_of(recipient)
+    for e in graph.adjacency().outgoing(graph.id_of(sender)):
+        if graph.dst[e] == r:
+            return EdgeAggregate(graph.flux[e], graph.mult[e])
+    return None
 
 
 def degree(graph: AggregatedGraph, account: str) -> int:
@@ -29,7 +33,9 @@ def degree(graph: AggregatedGraph, account: str) -> int:
 def neighbors(graph: AggregatedGraph, account: str) -> set[str]:
     """Distinct accounts adjacent in either direction, excluding self."""
     node = graph.id_of(account)
-    near = set(graph.out_adj[node]) | set(graph.in_adj[node])
+    adj = graph.adjacency()
+    near = {graph.dst[e] for e in adj.outgoing(node)}
+    near.update(graph.src[e] for e in adj.incoming(node))
     return {graph.names[other] for other in near if other != node}
 
 
@@ -38,7 +44,7 @@ def neighbor_count(graph: AggregatedGraph, account: str) -> int:
 
 
 def out_flux(graph: AggregatedGraph, account: str) -> int:
-    return sum(agg.flux for agg in graph.out_adj[graph.id_of(account)].values())
+    return sum(graph.flux[e] for e in graph.adjacency().outgoing(graph.id_of(account)))
 
 
 def color_of(coloring: Coloring, account: str) -> int:

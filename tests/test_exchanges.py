@@ -28,7 +28,7 @@ from fluxgraph.exchanges import (
     save_clusters,
     save_coloring,
 )
-from fluxgraph.graph import AggregatedGraph
+from fluxgraph.graph import AggregatedGraph, EdgeAggregate
 
 
 def exchange_graph(
@@ -163,8 +163,10 @@ def fraction_is_deposit(graph, candidate, main, params) -> bool:
     """The deposit test with its shares as exact Fractions."""
     names = graph.names
     node = graph.id_of(candidate)
-    out_edges = {names[r]: agg for r, agg in graph.out_adj[node].items()}
-    inflows = sum(1 for s in graph.in_adj[node] if names[s] != main)
+    adj = graph.adjacency()
+    out_edges = {names[graph.dst[e]]: EdgeAggregate(graph.flux[e], graph.mult[e])
+                 for e in adj.outgoing(node)}
+    inflows = sum(1 for e in adj.incoming(node) if names[graph.src[e]] != main)
     if inflows < params.min_deposit_inflows:
         return False
     out_flux = sum(agg.flux for agg in out_edges.values())

@@ -1,11 +1,13 @@
 """Aggregated graph construction, degree ranking and persistence."""
 
-from collections import defaultdict
+import tracemalloc
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import degree, edge, neighbor_count, neighbors, out_flux, random_transfers
+from fluxgraph import graph as graph_module
 from fluxgraph.errors import MalformedRecordError, UnknownAccountError
 from fluxgraph.graph import (
     AggregatedGraph,
@@ -15,7 +17,8 @@ from fluxgraph.graph import (
     load_graph,
     save_graph,
 )
-from fluxgraph.records import TransferRecord
+from fluxgraph.records import TransferRecord, ingest
+from fluxgraph.synth import config_from_dict, generate
 
 ACCOUNTS = st.sampled_from([f"u{i}" for i in range(8)])
 TRIPLES = st.lists(
@@ -190,3 +193,161 @@ class TestStats:
         assert stats.transaction_count == len(triples)
         assert stats.total_flux == sum(a for _s, _r, a in triples)
         assert stats.as_dict()["order"] == g.order
+
+
+# -- the edge table against a naive dict-of-dicts reference --------------
+
+POSITIVE = st.integers(min_value=1, max_value=10**12)
+FOLDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("transfer"), ACCOUNTS, ACCOUNTS, POSITIVE),
+        st.tuples(st.just("edge"), ACCOUNTS, ACCOUNTS, POSITIVE, POSITIVE),
+        st.tuples(st.just("node"), ACCOUNTS),
+        st.tuples(st.just("adjacency")),
+    ),
+    max_size=80,
+)
+
+
+class ReferenceGraph:
+    """out[sender][recipient] = [flux, multiplicity], keyed by name."""
+
+    def __init__(self):
+        self.out: dict[str, dict[str, list[int]]] = {}
+        self.degrees: dict[str, int] = {}
+
+    def add_node(self, account):
+        self.out.setdefault(account, {})
+        self.degrees.setdefault(account, 0)
+
+    def fold(self, sender, recipient, flux, mult):
+        self.add_node(sender)
+        self.add_node(recipient)
+        weights = self.out[sender].setdefault(recipient, [0, 0])
+        weights[0] += flux
+        weights[1] += mult
+        self.degrees[sender] += mult
+        if recipient != sender:
+            self.degrees[recipient] += mult
+
+    def incoming(self, account):
+        return {s for s, targets in self.out.items() if account in targets}
+
+
+def assert_same(g: AggregatedGraph, ref: ReferenceGraph):
+    rows = [(s, r, w[0], w[1]) for s, targets in ref.out.items() for r, w in targets.items()]
+    assert Counter((s, r, a.flux, a.multiplicity) for s, r, a in g.edges()) == Counter(rows)
+    assert set(g.nodes) == set(ref.out)
+    assert g.order == len(ref.out)
+    assert g.aggregated_size == len(rows)
+    assert g.transaction_count == sum(row[3] for row in rows)
+    assert g.total_flux == sum(row[2] for row in rows)
+    assert {a: g.degrees[g.id_of(a)] for a in g.nodes} == ref.degrees
+
+    adj = g.adjacency()
+    assert len(adj.out_offsets) == len(adj.in_offsets) == g.order + 1
+    assert sorted(adj.out_edges) == sorted(adj.in_edges) == list(range(g.aggregated_size))
+    for account in g.nodes:
+        node = g.id_of(account)
+        out_edges = adj.out_edges[adj.out_offsets[node]:adj.out_offsets[node + 1]]
+        in_edges = adj.in_edges[adj.in_offsets[node]:adj.in_offsets[node + 1]]
+        assert list(out_edges) == sorted(out_edges) == list(adj.outgoing(node))
+        assert list(in_edges) == sorted(in_edges) == list(adj.incoming(node))
+        assert all(g.src[e] == node for e in out_edges)
+        assert all(g.dst[e] == node for e in in_edges)
+        # one edge per neighbor, so the counts match the sets as well
+        targets = [g.names[g.dst[e]] for e in out_edges]
+        sources = [g.names[g.src[e]] for e in in_edges]
+        assert sorted(targets) == sorted(ref.out[account])
+        assert sorted(sources) == sorted(ref.incoming(account))
+
+
+class TestEdgeTable:
+    @given(FOLDS)
+    def test_matches_dict_of_dicts(self, folds):
+        g = AggregatedGraph()
+        ref = ReferenceGraph()
+        for op, *args in folds:
+            if op == "transfer":
+                sender, recipient, amount = args
+                g.add_transfer(sender, recipient, amount)
+                ref.fold(sender, recipient, amount, 1)
+            elif op == "edge":
+                g.add_edge(*args)
+                ref.fold(*args)
+            elif op == "node":
+                g.add_node(*args)
+                ref.add_node(*args)
+            else:
+                # drops the dedup index; later folds must rebuild it from
+                # the table, and a later call must see their new edges
+                assert_same(g, ref)
+        assert_same(g, ref)
+
+    def test_adjacency_is_kept_until_the_graph_grows(self):
+        g = graph_from([("a", "b", 1), ("b", "a", 2)])
+        adj = g.adjacency()
+        g.add_transfer("a", "b", 5)
+        assert g.adjacency() is adj
+        g.add_transfer("a", "a", 5)
+        assert list(g.adjacency().outgoing(g.id_of("a"))) == [0, 2]
+        g.add_node("c")
+        assert list(g.adjacency().incoming(g.id_of("c"))) == []
+
+    def test_packed_key_width_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ID_BITS", 2)
+        g = AggregatedGraph()
+        accounts = [f"a{i}" for i in range(4)]
+        for sender in accounts:
+            for recipient in accounts:
+                g.add_transfer(sender, recipient, 1)
+        # every ordered pair of the 4 ids that fit in 2 bits is its own edge
+        assert g.aggregated_size == 16
+        with pytest.raises(OverflowError, match="at most 4 accounts"):
+            g.add_transfer("a0", "a4", 1)
+        with pytest.raises(OverflowError, match="'a4'"):
+            g.add_node("a4")
+        assert g.order == 4
+        assert g.aggregated_size == 16
+        assert g.transaction_count == 16
+
+
+# MILLION_SCENARIO's shape (tests/test_acceptance.py) at 1/20 of its
+# accounts: about 20k accounts and 25k aggregated edges.
+FOOTPRINT_SCENARIO = {
+    "seed": 20260819,
+    "user_count": 13_500,
+    "trader_fraction": 0.445,
+    "mesh_edges_per_user": 2,
+    "giant_fraction": 0.5,
+    "exchanges": [
+        {"label": f"exch-{tag}", "main_wallets": mains, "deposit_addresses": 1_300,
+         "deposit_rounds": 3, "withdrawals": 12, "inter_exchange_tx": 24}
+        for tag, mains in zip("abcde", (1, 2, 1, 3, 1))
+    ],
+    "records_per_block": 6,
+}
+# Measured on CPython 3.10 to 3.12: about 460 B with per-node dicts of
+# EdgeAggregate and 150 to 157 B with the edge table; on 3.11, 261 B when
+# adjacency() leaves the dedup index alive.
+MAX_BYTES_PER_EDGE = 200
+
+
+def test_bytes_per_edge():
+    """What the graph allocates per aggregated edge, once folded and its
+    adjacency built; the account names are made before counting starts."""
+    lines, _truth = generate(config_from_dict(FOOTPRINT_SCENARIO))
+    transfers = [(t.sender, t.recipient, str(t.amount_planck)) for t in ingest(lines)]
+    del lines
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = AggregatedGraph()
+        for sender, recipient, amount in transfers:
+            g.add_transfer(sender, recipient, int(amount))
+        g.adjacency()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.aggregated_size > 20_000
+    assert used / g.aggregated_size < MAX_BYTES_PER_EDGE

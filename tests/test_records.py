@@ -83,6 +83,26 @@ class TestDotToPlanck:
         with pytest.raises(MalformedRecordError, match="not a finite number"):
             dot_to_planck(text)
 
+    @pytest.mark.parametrize("text", [
+        "1_5", " 2.5\n", "\u0661", "2.5 ", "\uff11", "1e", ".", "", "+ 1", "0x10",
+        "1,5", "--1", "1.2.3",
+    ])
+    def test_only_ascii_decimal_notation(self, text):
+        # Decimal() alone reads the first five as 15, 2.5, 1, 2.5 and 1 DOT
+        with pytest.raises(MalformedRecordError, match="invalid decimal amount"):
+            dot_to_planck(text)
+
+    def test_notation_forms(self):
+        cases = {".5": 5 * 10**9, "1.": PLANCK_PER_DOT, "+3": 3 * PLANCK_PER_DOT,
+                 "2E+1": 20 * PLANCK_PER_DOT, "25e-1": 25 * 10**9}
+        for text, want in cases.items():
+            assert dot_to_planck(text) == want
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+Infinity", "NaN12", "snan"])
+    def test_other_non_finite_spellings(self, text):
+        with pytest.raises(MalformedRecordError, match="not a finite number"):
+            dot_to_planck(text)
+
     @given(st.integers(min_value=0, max_value=10**19))
     def test_round_trip_from_planck(self, planck):
         # rendering planck as a DOT decimal and converting back is lossless
