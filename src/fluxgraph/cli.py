@@ -24,6 +24,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on every platform, and only --verbose reads it
+    resource = None
+
 from . import __version__
 from .analytics import (
     DEFAULT_BUCKET_CUTS,
@@ -47,7 +52,6 @@ from .errors import (
     FluxGraphError,
     LabelFileError,
     MalformedRecordError,
-    UnknownAccountError,
     VerificationError,
 )
 from .exchanges import (
@@ -175,11 +179,21 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _peak_rss() -> str:
+    """The process's peak resident set size so far, for progress logs."""
+    if resource is None:
+        return "unknown"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return f"{peak / (1 << (20 if sys.platform == 'darwin' else 10)):.1f} MB"
+
+
 @contextlib.contextmanager
 def _timed(timings: dict, key: str):
     t0 = time.perf_counter()
     yield
     timings[key] = time.perf_counter() - t0
+    log.debug("stage %s: %.3f s, peak RSS %s", key, timings[key], _peak_rss())
 
 
 # -- stages: each called by its own command (inputs read from files) and
@@ -235,11 +249,12 @@ def _detect(graph: AggregatedGraph, params: DetectionParams | None, labels,
     return clusters, coloring
 
 
-def _verify(graph: AggregatedGraph, coloring: Coloring, contracted, assignment) -> None:
-    """Cross-check a contraction against the independent implementation."""
+def _verify(expected, contracted, assignment) -> None:
+    """Cross-check a contraction against the independent implementation's
+    result, expected: the oracle's (quotient, assignment) pair."""
     if not verify_contraction(contracted):
         raise VerificationError("contracted graph is not properly colored")
-    other, other_assignment = oracle_contract(graph, coloring)
+    other, other_assignment = expected
     # both routes number clusters alike, so equal quotients have equal ids
     if (other_assignment, other.nodes, other.edges) != (
             assignment, contracted.nodes, contracted.edges):
@@ -250,9 +265,14 @@ def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, director
               labels: dict[int, str], timings: dict, **meta):
     """Contract, cross-check when verify, and save the quotient with meta in meta.json."""
     with _timed(timings, "contract"):
+        # The oracle runs first: its working set is the larger of the two,
+        # so it peaks before the fast quotient exists, and contract()'s
+        # smaller working set then overlaps only the oracle's finished result.
+        expected = oracle_contract(graph, coloring) if verify else None
         contracted, assignment = contract(graph, coloring)
         if verify:
-            _verify(graph, coloring, contracted, assignment)
+            _verify(expected, contracted, assignment)
+        del expected
     meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
                 verified=verify)
     with _timed(timings, "save_contracted"):
@@ -315,13 +335,7 @@ def cmd_contract(args, config: dict) -> int:
     t0 = time.perf_counter()
     graph = load_graph(args.graph)
     if args.coloring:
-        coloring = load_coloring(args.coloring)
-        # contract() rejects missing nodes; extra accounts mean another run's file
-        if len(coloring.colors) > graph.order:
-            outside = next(a for a in coloring.colors if not graph.has_node(a))
-            raise UnknownAccountError(
-                f"{args.coloring} colors account {outside!r}, which is not in the graph"
-            )
+        coloring = load_coloring(args.coloring, graph)
     else:
         coloring = Coloring.all_users(graph)
     clusters = load_clusters(args.clusters) if args.clusters else []

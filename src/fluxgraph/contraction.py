@@ -29,15 +29,17 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, MalformedRecordError, PartialColoringError
 from .exchanges import Coloring
-from .graph import AggregatedGraph, EdgeAggregate
+from .graph import AccountMap, AggregatedGraph, EdgeAggregate
 from .tables import atomic_output, read_table, sorted_items, write_json, write_table
 
-ClusterAssignment = dict[str, int]
+# account -> cluster id; contract() returns an AccountMap over an array
+ClusterAssignment = Mapping[str, int]
 
 
 @dataclass(slots=True)
@@ -179,38 +181,32 @@ def _build_quotient(
     return contracted, assignment
 
 
-def _colors_by_id(graph: AggregatedGraph, coloring: Coloring) -> list[int]:
-    """The coloring as a list indexed by node id. Accounts outside the
-    graph are ignored; a node without a color, or with a negative one,
-    is rejected."""
-    names = graph.names
-    colors = list(map(coloring.colors.get, names))
-    missing = colors.count(None)
-    if missing:
-        example = names[colors.index(None)]
-        raise PartialColoringError(f"{missing} node(s) lack a color, e.g. {example!r}")
-    if colors and min(colors) < 0:
-        node = next(i for i, color in enumerate(colors) if color < 0)
-        raise ConfigError(f"negative color {colors[node]} on account {names[node]!r}")
-    return colors
-
-
 def contract(
     graph: AggregatedGraph, coloring: Coloring
-) -> tuple[ContractedGraph, ClusterAssignment]:
+) -> tuple[ContractedGraph, AccountMap]:
     """Contract the graph under the coloring.
 
     Clusters are the connected components of the subgraph formed by
     monochromatic edges, ignoring direction; two same-colored nodes with
-    no such path stay apart. Raises PartialColoringError when the
-    coloring does not cover every node.
+    no such path stay apart. Raises ConfigError for a coloring made for
+    another graph and PartialColoringError when the coloring does not
+    cover every node. The assignment is an AccountMap over an id-indexed
+    array of cluster ids.
     """
-    color = _colors_by_id(graph, coloring)
+    if coloring.graph is not graph:
+        raise ConfigError("the coloring was made for another graph")
+    color = coloring.by_id
+    order_count = graph.order
+    if len(color) < order_count:
+        raise PartialColoringError(
+            f"{order_count - len(color)} node(s) lack a color, "
+            f"e.g. {graph.names[len(color)]!r}"
+        )
     src, dst = graph.src, graph.dst
 
     # Join the endpoints of every monochromatic edge in a disjoint-set
     # forest over node ids, halving each path as it is walked.
-    parent = list(range(len(color)))
+    parent = array("q", range(order_count))
     for a, b in zip(src, dst):
         if color[a] != color[b]:
             continue
@@ -223,11 +219,10 @@ def contract(
 
     # Number the components in name order of their first member, so a
     # component's index orders like its smallest member name.
-    order = graph.name_order()
-    component = [-1] * len(color)
+    component = array("q", [-1]) * order_count
     shades: list[int] = []
     sizes: list[int] = []
-    for node in order:
+    for node in graph.name_order():
         root = node
         while parent[root] != root:
             parent[root] = root = parent[parent[root]]
@@ -238,6 +233,7 @@ def contract(
             sizes.append(0)
         component[node] = idx
         sizes[idx] += 1
+    del parent
     keys = list(zip(shades, sizes, range(len(sizes))))
 
     ids = _number_clusters(keys)
@@ -245,7 +241,8 @@ def contract(
     nodes = contracted.nodes
     for idx, (shade, size, _anchor) in enumerate(keys):
         nodes[ids[idx]] = ContractedNode(ids[idx], shade, size, 0, 0)
-    cluster_of = [ids[idx] for idx in component]
+    cluster_of = array("q", map(ids.__getitem__, component))
+    del component
     edges = contracted.edges
     for s, r, flux, mult in zip(src, dst, graph.flux, graph.mult):
         cu = cluster_of[s]
@@ -261,10 +258,7 @@ def contract(
             else:
                 cross.flux += flux
                 cross.multiplicity += mult
-    names = graph.names
-    # in name order, so save_contracted streams it without sorting
-    assignment = {names[i]: cluster_of[i] for i in order}
-    return contracted, assignment
+    return contracted, AccountMap(graph, cluster_of)
 
 
 def oracle_contract(
@@ -365,16 +359,15 @@ def as_aggregated(contracted: ContractedGraph) -> tuple[AggregatedGraph, Colorin
     its own colors reproduces the original canonical form exactly.
     """
     g = AggregatedGraph()
-    colors: dict[str, int] = {}
     for cid, node in contracted.nodes.items():
         account = str(cid)
         g.add_node(account)
-        colors[account] = node.color
         if node.intra_tx_count:
             g.add_edge(account, account, node.intra_flux, node.intra_tx_count)
     for (src, dst), agg in contracted.edges.items():
         g.add_edge(str(src), str(dst), agg.flux, agg.multiplicity)
-    return g, Coloring(colors)
+    # node i of g is the i-th cluster
+    return g, Coloring(g, array("q", [node.color for node in contracted.nodes.values()]))
 
 
 def identity_assignment(contracted: ContractedGraph) -> ClusterAssignment:
@@ -493,9 +486,9 @@ def save_contracted(
         _EDGES_HEADER,
         ([src, dst, agg.flux, agg.multiplicity] for (src, dst), agg in edges),
     )
-    write_table(
-        os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, sorted_items(assignment)
-    )
+    # an AccountMap runs in name order already
+    rows = assignment.items() if isinstance(assignment, AccountMap) else sorted_items(assignment)
+    write_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, rows)
     with atomic_output(os.path.join(directory, GRAPHML_FILE)) as fh:
         fh.writelines(_graphml_lines(nodes, edges, labels))
     with atomic_output(os.path.join(directory, DOT_FILE)) as fh:
@@ -507,21 +500,35 @@ def load_contracted(
     directory: str,
 ) -> tuple[ContractedGraph, ClusterAssignment, dict, dict[int, str]]:
     """Read back a directory written by save_contracted. Returns the
-    graph, the assignment, the meta dict and the cluster label map."""
+    graph, the assignment, the meta dict and the cluster label map. A
+    repeated cluster or edge, or an edge to a cluster that nodes.csv
+    lacks, is a malformed row."""
     contracted = ContractedGraph()
+    nodes, edges = contracted.nodes, contracted.edges
     labels: dict[int, str] = {}
+
+    def new_cluster(row: list) -> str | None:
+        return f"cluster_id {row[0]} appears twice" if row[0] in nodes else None
+
+    def known_pair(row: list) -> str | None:
+        for cid in row[:2]:
+            if cid not in nodes:
+                return f"cluster {cid} is not in {CONTRACTED_NODES_FILE}"
+        return f"edge {row[0]} -> {row[1]} appears twice" if tuple(row[:2]) in edges else None
+
     for cid, color, label, member_count, intra_flux, intra_tx in read_table(
         os.path.join(directory, CONTRACTED_NODES_FILE),
         _NODES_HEADER,
         ("cluster_id", "color", "member_count", "intra_flux_planck", "intra_tx_count"),
+        new_cluster,
     ):
-        contracted.nodes[cid] = ContractedNode(cid, color, member_count, intra_flux, intra_tx)
+        nodes[cid] = ContractedNode(cid, color, member_count, intra_flux, intra_tx)
         if label:
             labels[cid] = label
     for src, dst, flux, multiplicity in read_table(
-        os.path.join(directory, CONTRACTED_EDGES_FILE), _EDGES_HEADER, _EDGES_HEADER
+        os.path.join(directory, CONTRACTED_EDGES_FILE), _EDGES_HEADER, _EDGES_HEADER, known_pair
     ):
-        contracted.edges[(src, dst)] = EdgeAggregate(flux, multiplicity)
+        edges[(src, dst)] = EdgeAggregate(flux, multiplicity)
     assignment: ClusterAssignment = dict(
         read_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",))
     )

@@ -17,6 +17,7 @@ neighbors out of 100 fails.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -25,10 +26,12 @@ from .errors import (
     ClusterOverlapError,
     ConfigError,
     LabelFileError,
+    MalformedRecordError,
+    PartialColoringError,
     UnknownAccountError,
 )
-from .graph import AggregatedGraph, degree_centrality_ranking
-from .tables import read_table, sorted_items, write_table
+from .graph import AccountMap, AggregatedGraph, degree_centrality_ranking
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,52 @@ class ExchangeCluster:
         return self.main_addresses | self.deposit_addresses
 
 
-@dataclass
-class Coloring:
-    """Total account -> color map. 0 marks users; colors 1..K are the
-    detected exchange clusters, matching their cluster ids."""
+# Colors are cluster ids. contract() numbers split clusters after the
+# largest color, so a color below 2**62 leaves every cluster id room in a
+# signed 64-bit array.
+MAX_COLOR = (1 << 62) - 1
 
-    colors: dict[str, int]
+
+class Coloring:
+    """Total account -> color map over one graph. 0 marks users; colors
+    1..K are the detected exchange clusters, matching their cluster ids.
+
+    by_id[i] is the color of node i; colors is the same array keyed by
+    account name.
+    """
+
+    __slots__ = ("graph", "by_id")
+
+    def __init__(self, graph: AggregatedGraph, by_id: array):
+        self.graph = graph
+        self.by_id = by_id
+
+    @property
+    def colors(self) -> AccountMap:
+        return AccountMap(self.graph, self.by_id)
 
     @classmethod
     def all_users(cls, graph: AggregatedGraph) -> "Coloring":
-        return cls({account: 0 for account in graph.nodes})
+        return cls(graph, array("q", [0]) * graph.order)
+
+    @classmethod
+    def from_mapping(cls, graph: AggregatedGraph, colors: Mapping[str, int]) -> "Coloring":
+        """The coloring of graph that colors gives by account name.
+        Accounts outside the graph are ignored. Raises
+        PartialColoringError when a node has no color and ConfigError
+        for a color outside 0..MAX_COLOR."""
+        names = graph.names
+        by_id = list(map(colors.get, names))
+        missing = by_id.count(None)
+        if missing:
+            example = names[by_id.index(None)]
+            raise PartialColoringError(f"{missing} node(s) lack a color, e.g. {example!r}")
+        if by_id and (min(by_id) < 0 or max(by_id) > MAX_COLOR):
+            node = next(i for i, color in enumerate(by_id) if not 0 <= color <= MAX_COLOR)
+            raise ConfigError(
+                f"color {by_id[node]} on account {names[node]!r} is outside 0..{MAX_COLOR}"
+            )
+        return cls(graph, array("q", by_id))
 
 
 def is_deposit_address(
@@ -266,9 +305,8 @@ def build_coloring(
     """Color every graph node: cluster members get their cluster id,
     everyone else 0. Raises ClusterOverlapError when two clusters claim
     the same account, UnknownAccountError for members outside the graph."""
-    names = graph.names
-    # in name order, so save_coloring streams it without sorting
-    colors = dict.fromkeys(map(names.__getitem__, graph.name_order()), 0)
+    coloring = Coloring.all_users(graph)
+    by_id, ids = coloring.by_id, graph.ids
     seen: dict[str, int] = {}
     for cluster in clusters:
         for member in cluster.members():
@@ -277,11 +315,12 @@ def build_coloring(
                     f"account {member} belongs to clusters "
                     f"{seen[member]} and {cluster.cluster_id}"
                 )
-            if member not in colors:
+            node = ids.get(member)
+            if node is None:
                 raise UnknownAccountError(member)
             seen[member] = cluster.cluster_id
-            colors[member] = cluster.cluster_id
-    return Coloring(colors)
+            by_id[node] = cluster.cluster_id
+    return coloring
 
 
 # -- CSV formats ------------------------------------------------------
@@ -344,8 +383,42 @@ def load_clusters(path: str) -> list[ExchangeCluster]:
 
 
 def save_coloring(path: str, coloring: Coloring) -> None:
-    write_table(path, COLORING_HEADER, sorted_items(coloring.colors))
+    write_table(path, COLORING_HEADER, coloring.colors.items())
 
 
-def load_coloring(path: str) -> Coloring:
-    return Coloring(dict(read_table(path, COLORING_HEADER, ("color",))))
+def load_coloring(path: str, graph: AggregatedGraph) -> Coloring:
+    """Read an address,color CSV as a coloring of graph. A repeated
+    address or a color above MAX_COLOR is a malformed row; an address
+    outside the graph means the file belongs to another graph and raises
+    UnknownAccountError, and a node without a color PartialColoringError.
+    Each error names the file, and a row error its line."""
+    ids = graph.ids
+    by_id = array("q", [-1]) * graph.order
+    outside = []
+
+    def colorable(row: list) -> Optional[str]:
+        address, color = row
+        if color > MAX_COLOR:
+            return f"color {color} is above {MAX_COLOR}"
+        node = ids.get(address)
+        if node is None:
+            outside.append(address)
+            return f"account {address!r} is not in the graph"
+        if by_id[node] >= 0:
+            return f"account {address!r} is colored twice"
+        return None
+
+    try:
+        for address, color in read_table(path, COLORING_HEADER, ("color",), colorable):
+            by_id[ids[address]] = color
+    except MalformedRecordError as exc:
+        if outside:
+            raise UnknownAccountError(str(exc)) from None
+        raise
+    missing = by_id.count(-1)
+    if missing:
+        example = graph.names[by_id.index(-1)]
+        raise PartialColoringError(
+            f"{path}: {missing} node(s) lack a color, e.g. {example!r}"
+        )
+    return Coloring(graph, by_id)

@@ -18,6 +18,10 @@ target behind two offset arrays of one machine word per node, keeps them
 until an edge or a node is added, and drops the dedup index; the next
 fold rebuilds it from the table. degrees[i], the transfers in and out of
 node i with a self-loop's counted once, is kept up to date while folding.
+
+Values that belong to nodes, such as a coloring or a cluster assignment,
+are arrays indexed by node id; AccountMap lends one the account-keyed
+read API of a mapping.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import heapq
 import operator
 import os
 from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
@@ -233,6 +238,81 @@ class AggregatedGraph:
             # the ids dict's own int objects, so the order adds no new ints
             self._name_order = list(map(self.ids.__getitem__, sorted(self.names)))
         return self._name_order
+
+
+class AccountMap(Mapping):
+    """Read-only account-keyed view of an int array indexed by node id:
+    the value of account graph.names[i] is by_id[i].
+
+    Keys, values and items run in the graph's name_order() at C level,
+    so a writer streams items() without sorting and without a Python
+    call per key. Equality with another mapping is exact and builds no
+    dict. A node added to the graph after the array was made has no
+    value.
+    """
+
+    __slots__ = ("by_id", "_ids", "_names", "_order")
+
+    def __init__(self, graph: AggregatedGraph, by_id: array):
+        self.by_id = by_id
+        self._ids = graph.ids
+        self._names = graph.names
+        order = graph.name_order()
+        if len(order) != len(by_id):
+            order = [node for node in order if node < len(by_id)]
+        self._order = order
+
+    def __getitem__(self, account: str) -> int:
+        try:
+            return self.by_id[self._ids[account]]
+        except IndexError:
+            raise KeyError(account) from None
+
+    def __contains__(self, account) -> bool:
+        return self._ids.get(account, len(self.by_id)) < len(self.by_id)
+
+    def __len__(self) -> int:
+        return len(self.by_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._names.__getitem__, self._order)
+
+    def _values(self) -> Iterator[int]:
+        return map(self.by_id.__getitem__, self._order)
+
+    def values(self) -> ValuesView:
+        return _AccountValues(self)
+
+    def items(self) -> ItemsView:
+        return _AccountItems(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AccountMap) and other._ids is self._ids:
+            return self.by_id == other.by_id
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        # equal sizes, and every key of self present in other with the same
+        # value; id order, as name order would cost two lookups per key
+        return len(other) == len(self) and all(
+            map(operator.eq, map(other.get, self._names), self.by_id)
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _AccountValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return self._mapping._values()
+
+
+class _AccountItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return zip(self._mapping, self._mapping._values())
 
 
 def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:

@@ -33,6 +33,7 @@ import os
 import random
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
 from .errors import ConfigError
@@ -436,6 +437,18 @@ def _plan(config: ScenarioConfig, rng: random.Random):
     return groups, tally, exchanges, traders, organic, mesh_parent, mesh_find
 
 
+def _degree_rank(degree: dict[str, int], account: str) -> int | None:
+    """account's 1-based place in the ranking by descending degree, ties
+    by ascending name, or None when it has no degree; counted without
+    sorting every account."""
+    own = degree.get(account)
+    if own is None:
+        return None
+    above = sum(map(own.__lt__, degree.values()))
+    tied = compress(degree, map(own.__eq__, degree.values()))
+    return 1 + above + sum(map(account.__gt__, tied))
+
+
 def _validate_detectability(
     config: ScenarioConfig,
     groups: list[tuple],
@@ -465,10 +478,8 @@ def _validate_detectability(
             if recipient in neighbor_sets and sender != recipient:
                 neighbor_sets[recipient].add(sender)
 
-    ranked = sorted(degree.items(), key=lambda item: (-item[1], item[0]))
-    rank_of = {account: i + 1 for i, (account, _d) in enumerate(ranked)}
     for main in sorted(mains):
-        rank = rank_of.get(main)
+        rank = _degree_rank(degree, main)
         if rank is None or rank > params.top_k:
             raise ConfigError(
                 f"main wallet {main} would rank {rank} by degree, outside the "

@@ -78,7 +78,7 @@ def random_graph_and_coloring(
         recipient = rng.choice(names)
         graph.add_transfer(sender, recipient, rng.randint(1, 10**12))
     k = rng.randint(0, max_colors)
-    coloring = Coloring({name: rng.randint(0, k) for name in names})
+    coloring = Coloring.from_mapping(graph, {name: rng.randint(0, k) for name in names})
     return graph, coloring
 
 

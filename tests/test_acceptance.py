@@ -127,7 +127,7 @@ def test_contraction_ignores_processing_order(check):
             graph = AggregatedGraph()
             for sender, recipient, amount in shuffled:
                 graph.add_transfer(sender, recipient, amount)
-            contracted, assignment = contract(graph, Coloring(dict(colored)))
+            contracted, assignment = contract(graph, Coloring.from_mapping(graph, dict(colored)))
             forms.add(canonical_form(contracted, assignment))
         if len(forms) != 1:
             mismatched += 1
@@ -316,7 +316,7 @@ def test_million_transfer_pipeline(check, tmp_path):
     names = [f"a{i:06d}" for i in range(node_count)]
     for _ in range(edge_count):
         big.add_transfer(rng.choice(names), rng.choice(names), rng.randint(1, 10**9))
-    coloring = Coloring({name: i % 8 for i, name in enumerate(names)})
+    coloring = Coloring.from_mapping(big, {name: i % 8 for i, name in enumerate(names)})
     t0 = time.perf_counter()
     contracted, assignment = contract(big, coloring)
     contraction_s = time.perf_counter() - t0
@@ -363,7 +363,7 @@ def test_boundary_semantics(check):
     graph = AggregatedGraph()
     graph.add_transfer("p", "a", 5)
     graph.add_transfer("q", "b", 5)
-    coloring = Coloring({"p": 1, "q": 1, "a": 0, "b": 0})
+    coloring = Coloring.from_mapping(graph, {"p": 1, "q": 1, "a": 0, "b": 0})
     _contracted, assignment = contract(graph, coloring)
     split_ok = assignment["p"] != assignment["q"]
 

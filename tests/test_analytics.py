@@ -202,7 +202,8 @@ class TestReport:
             g.add_transfer(f"d{i}", "M", 1000)
         g.add_transfer("u1", "u2", 330)
         g.add_transfer("M", "u1", 75)
-        coloring = Coloring(
+        coloring = Coloring.from_mapping(
+            g,
             dict({f"d{i}": 1 for i in range(6)}, M=1,
                  **{f"o{i}": 0 for i in range(6)}, u1=0, u2=0)
         )

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -129,27 +130,43 @@ class TestExitCodes:
     def test_disagreeing_oracle_fails_verification(self, tmp_path, ledger, monkeypatch,
                                                    capsys, command):
         root, path, _ = ledger
-        out = tmp_path / "out"
+        staged = tmp_path / "staged"
         labels = os.path.join(str(root), "labels.csv")
         if command == "contract":
-            assert run_pipeline(path, out, labels=labels) == cli.EXIT_OK
+            assert run_pipeline(path, staged, labels=labels) == cli.EXIT_OK
         oracle = cli.oracle_contract
 
-        def off_by_one(graph, coloring):
-            contracted, assignment = oracle(graph, coloring)
+        def off_by_one(contracted, assignment):
             next(iter(contracted.edges.values())).multiplicity += 1
-            return contracted, assignment
 
-        monkeypatch.setattr(cli, "oracle_contract", off_by_one)
-        if command == "run":
-            code = run_pipeline(path, out, labels=labels, extra=["--verify"])
-        else:
-            code = cli.main(["contract", "--graph", str(out / "graph"),
-                             "--coloring", str(out / "coloring.csv"),
-                             "--output", str(tmp_path / "contracted"),
-                             "--verify", "--quiet"])
-        assert code == cli.EXIT_VERIFY
-        assert "different quotient" in capsys.readouterr().err
+        def swapped(contracted, assignment):
+            # two accounts trade clusters; nodes and edges stay as they are
+            first = next(iter(assignment))
+            other = next(a for a in assignment if assignment[a] != assignment[first])
+            assignment[first], assignment[other] = assignment[other], assignment[first]
+
+        for disagree in (off_by_one, swapped):
+            def disagreeing(graph, coloring, disagree=disagree):
+                contracted, assignment = oracle(graph, coloring)
+                disagree(contracted, assignment)
+                return contracted, assignment
+
+            monkeypatch.setattr(cli, "oracle_contract", disagreeing)
+            out = tmp_path / disagree.__name__
+            if command == "run":
+                code = run_pipeline(path, out, labels=labels, extra=["--verify"])
+            else:
+                code = cli.main(["contract", "--graph", str(staged / "graph"),
+                                 "--coloring", str(staged / "coloring.csv"),
+                                 "--output", str(out), "--verify", "--quiet"])
+            assert code == cli.EXIT_VERIFY, disagree.__name__
+            assert "different quotient" in capsys.readouterr().err
+            # a failed check leaves nothing that looks like a finished quotient
+            if command == "run":
+                assert not (out / "contracted").exists()
+                assert not (out / "manifest.json").exists()
+            else:
+                assert files_under(out) == []
 
     def test_non_utf8_pipeline_config(self, tmp_path, ledger, capsys):
         _, path, _ = ledger
@@ -257,6 +274,50 @@ class TestMalformedFiles:
         assert code == cli.EXIT_DATA
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, code, where", [
+        pytest.param("a,0\nb,2\nc,0\nb,1\n", cli.EXIT_MALFORMED, "coloring.csv:5:",
+                     id="repeated_address"),
+        pytest.param("a,0\nb," + "1" * 30 + "\nc,0\n", cli.EXIT_MALFORMED, "coloring.csv:3:",
+                     id="color_above_bound"),
+        pytest.param("a,0\nghost,1\nb,0\nc,0\n", cli.EXIT_DATA, "coloring.csv:3:",
+                     id="address_outside_graph"),
+        pytest.param("a,0\nc,0\n", cli.EXIT_DATA, "coloring.csv:", id="uncolored_node"),
+    ])
+    def test_contract_on_bad_coloring(self, tmp_path, capsys, rows, code, where):
+        graph = write_graph(tmp_path / "graph", [])
+        coloring = tmp_path / "coloring.csv"
+        coloring.write_text("address,color\n" + rows)
+        assert cli.main(["contract", "--graph", graph, "--coloring", str(coloring),
+                         "--output", str(tmp_path / "out"), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage, where", [
+        pytest.param(lambda nodes, edges: edges.write_text(
+            edges.read_text() + "999999,1,5,1\n"), "edges.csv", id="edge_to_unknown_cluster"),
+        pytest.param(lambda nodes, edges: nodes.write_text(
+            nodes.read_text() + nodes.read_text().splitlines()[1] + "\n"), "nodes.csv",
+            id="repeated_cluster"),
+        pytest.param(lambda nodes, edges: edges.write_text(
+            edges.read_text() + edges.read_text().splitlines()[1] + "\n"), "edges.csv",
+            id="repeated_edge"),
+    ])
+    def test_analyze_on_damaged_contracted_dir(self, tmp_path, ledger, capsys, damage, where):
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        assert run_pipeline(path, out) == cli.EXIT_OK
+        contracted = out / "contracted"
+        lines = {name: len((contracted / name).read_text().splitlines())
+                 for name in ("nodes.csv", "edges.csv")}
+        damage(contracted / "nodes.csv", contracted / "edges.csv")
+        code = cli.main(["analyze", "--contracted", str(contracted),
+                         "--output", str(tmp_path / "report"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        err = capsys.readouterr().err
+        # the appended row is the file's last line
+        assert f"{where}:{lines[where] + 1}:" in err and "Traceback" not in err
+
     def test_detect_on_empty_label(self, tmp_path, capsys):
         graph = write_graph(tmp_path / "graph", [])
         labels = tmp_path / "labels.csv"
@@ -327,6 +388,14 @@ class TestMalformedFiles:
         assert (f"error: {bad}:1: missing mandatory field 'timestamp'"
                 in capsys.readouterr().err)
         assert files_under(tmp_path) == ["bad.jsonl"]
+
+
+def run_module(argv):
+    """Run python with argv in a fresh process that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def run_pipeline(path, outdir, labels=None, extra=()):
@@ -421,6 +490,24 @@ class TestStageChaining:
         assert manifest["options"]["verify"] is True
         assert all(manifest["conservation"].values())
         assert manifest["detection"]["clusters"] == 2
+
+    def test_verbose_run_logs_every_stage(self, tmp_path, ledger):
+        """--verbose logs each timings_s stage with its seconds and the
+        peak RSS after it, on stderr only."""
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        proc = run_module(["-m", "fluxgraph.cli", "run", "--input", path,
+                           "--output", str(out), "--verbose"])
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads((out / "manifest.json").read_text())["timings_s"]
+        logged = re.findall(r"stage (\w+): \d+\.\d{3} s, peak RSS \d+\.\d MB\n", proc.stderr)
+        assert sorted(logged) == sorted(stages)
+        assert "peak RSS" not in proc.stdout
+
+    def test_cli_imports_without_resource_module(self):
+        proc = run_module(["-c", "import sys; sys.modules['resource'] = None; "
+                                 "from fluxgraph import cli; print(cli._peak_rss())"])
+        assert (proc.returncode, proc.stdout) == (0, "unknown\n"), proc.stderr
 
     def test_no_detect_collapses_nothing(self, tmp_path, ledger, capsys):
         _, path, _ = ledger

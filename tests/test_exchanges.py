@@ -396,10 +396,25 @@ class TestPersistence:
                 for c in clusters]
 
     def test_coloring_round_trip(self, tmp_path):
-        coloring = Coloring({"a": 0, "b": 2, "c": 1})
+        g = AggregatedGraph()
+        for account in "cab":
+            g.add_node(account)
+        coloring = Coloring.from_mapping(g, {"a": 0, "b": 2, "c": 1})
         path = str(tmp_path / "coloring.csv")
         save_coloring(path, coloring)
-        assert load_coloring(path).colors == coloring.colors
+        assert load_coloring(path, g).colors == coloring.colors
+
+    def test_loaded_coloring_agrees_with_its_csv(self, tmp_path):
+        g = exchange_graph(3, plain_count=2)
+        path = tmp_path / "coloring.csv"
+        save_coloring(str(path), build_coloring(g, [ExchangeCluster(2, "x", {"MAIN"}, {"dep001"})]))
+        rows = [(address, int(color)) for address, color in
+                (line.split(",") for line in path.read_text().splitlines()[1:])]
+        loaded = load_coloring(str(path), g)
+        assert list(loaded.colors.items()) == rows
+        assert loaded.colors == dict(rows)
+        assert [loaded.by_id[g.id_of(address)] for address, _ in rows] \
+            == [color for _, color in rows]
 
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.csv"

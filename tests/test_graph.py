@@ -1,6 +1,7 @@
 """Aggregated graph construction, degree ranking and persistence."""
 
 import tracemalloc
+from array import array
 from collections import Counter, defaultdict
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import degree, edge, neighbor_count, neighbors, out_flux, random_t
 from fluxgraph import graph as graph_module
 from fluxgraph.errors import MalformedRecordError, UnknownAccountError
 from fluxgraph.graph import (
+    AccountMap,
     AggregatedGraph,
     build_graph,
     degree_centrality_ranking,
@@ -183,6 +185,46 @@ class TestPersistence:
         (tmp_path / "nodes.csv").write_bytes(b"account\na\n\xff\n")
         with pytest.raises(MalformedRecordError, match="nodes.csv"):
             load_graph(str(tmp_path))
+
+
+class TestAccountMap:
+    def test_reads_like_a_dict_in_name_order(self):
+        g = AggregatedGraph()
+        for account in "cab":
+            g.add_node(account)
+        view = AccountMap(g, array("q", [30, 10, 20]))
+        expected = {"a": 10, "b": 20, "c": 30}
+        assert list(view) == list(expected)
+        assert list(view.items()) == list(expected.items())
+        assert list(view.values()) == list(expected.values())
+        assert view["c"] == 30 and view.get("z") is None
+        assert "b" in view and "z" not in view and len(view) == 3
+        with pytest.raises(KeyError):
+            view["z"]
+
+    def test_equality_is_exact(self):
+        g = AggregatedGraph()
+        for account in "cab":
+            g.add_node(account)
+        view = AccountMap(g, array("q", [30, 10, 20]))
+        assert view == {"a": 10, "b": 20, "c": 30} == view
+        assert view != {"a": 10, "b": 20, "c": 31}  # one value differs
+        assert view != {"a": 10, "b": 20, "z": 30}  # one key differs
+        assert view != {"a": 10, "b": 20}
+        assert view == AccountMap(g, array("q", [30, 10, 20]))
+        assert view != AccountMap(g, array("q", [30, 10, 21]))
+
+    def test_node_added_after_the_array_has_no_value(self):
+        g = AggregatedGraph()
+        g.add_node("b")
+        before = AccountMap(g, array("q", [7]))
+        g.add_node("a")
+        after = AccountMap(g, array("q", [7]))
+        for view in (before, after):
+            assert dict(view) == {"b": 7}
+            assert "a" not in view and len(view) == 1
+            with pytest.raises(KeyError):
+                view["a"]
 
 
 class TestStats:

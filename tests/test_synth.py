@@ -10,6 +10,7 @@ from fluxgraph.graph import AggregatedGraph
 from fluxgraph.records import IngestSummary, ingest
 from fluxgraph.synth import (
     ExchangeSpec,
+    _degree_rank,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
@@ -203,6 +204,13 @@ class TestDetectabilityGuard:
         ])
         with pytest.raises(ConfigError):
             generate(cfg)
+
+    def test_degree_rank_matches_the_sorted_ranking(self):
+        degree = {"b": 3, "a": 3, "c": 5, "d": 1, "e": 3}
+        ranked = sorted(degree, key=lambda account: (-degree[account], account))
+        for place, account in enumerate(ranked, 1):
+            assert _degree_rank(degree, account) == place
+        assert _degree_rank(degree, "z") is None
 
     def test_guard_can_be_disabled(self):
         cfg = small_scenario(
