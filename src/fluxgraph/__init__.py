@@ -65,6 +65,7 @@ from .contraction import (
     canonical_form,
     contract,
     load_contracted,
+    load_quotient,
     oracle_contract,
     save_contracted,
     verify_contraction,
@@ -109,6 +110,7 @@ __all__ = [
     "load_coloring",
     "ContractedGraph", "ContractedNode", "contract", "oracle_contract",
     "verify_contraction", "canonical_form", "save_contracted", "load_contracted",
+    "load_quotient",
     "DEFAULT_BUCKET_CUTS", "FluxPartition", "ExchangeRow",
     "ClusterSizeHistogram", "NetworkReport", "flux_partition", "exchange_table",
     "cluster_size_histogram", "build_report", "check_conservation",

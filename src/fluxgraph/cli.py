@@ -36,14 +36,16 @@ from .analytics import (
     check_conservation,
     save_report,
 )
-# canonical_form and transfer_line are not called here, but stay importable
-# from this module: bench/spans.py wraps the layer functions by these names
+# canonical_form, load_contracted and transfer_line are not called here, but
+# stay importable from this module: bench/spans.py wraps the layer functions
+# by these names
 from .contraction import (
     canonical_form,
     contract,
     oracle_contract,
     save_contracted,
     load_contracted,
+    load_quotient,
     verify_contraction,
 )
 from .errors import (
@@ -89,7 +91,6 @@ EXIT_CONSERVATION = 6
 EXIT_VERIFY = 7
 EXIT_IO = 8
 
-TRANSFERS_FILE = "transfers.jsonl"
 GRAPH_DIR = "graph"
 CLUSTERS_FILE = "clusters.csv"
 COLORING_FILE = "coloring.csv"
@@ -200,24 +201,16 @@ def _timed(timings: dict, key: str):
 # by run (inputs it already holds) --------------------------------------
 
 
-def _folded(graph: AggregatedGraph, transfers):
-    """Pass transfers through, folding each into graph on the way."""
-    for t in transfers:
-        graph.add_transfer(t.sender, t.recipient, t.amount_planck)
-        yield t
-
-
-def _ingest(source: str, output: str, opts: dict,
-            graph: AggregatedGraph | None = None) -> IngestSummary:
-    """Filter the ledger at source into a transfer file. With a graph,
-    each kept transfer is also folded into it, in the same pass."""
+def _ingest(source: str, opts: dict, consume):
+    """Filter the ledger at source, handing its kept transfers, as one
+    iterator, to consume. Returns consume's result and the ingest counts,
+    complete once consume has drained the iterator."""
     summary = IngestSummary()
     with open(source, "r", encoding="utf-8") as src:
-        kept = ingest(src, start_block=opts["start_block"],
-                      on_error=opts["on_error"], summary=summary)
-        write_transfers(output, kept if graph is None else _folded(graph, kept))
+        result = consume(ingest(src, start_block=opts["start_block"],
+                                on_error=opts["on_error"], summary=summary))
     log.info("ingest: kept %d of %d records", summary.kept, summary.parsed)
-    return summary
+    return result, summary
 
 
 def _save_graph(graph: AggregatedGraph, directory: str) -> GraphStats:
@@ -293,7 +286,8 @@ def _analyze(before: GraphStats, contracted, clusters, cuts, directory: str,
 
 def cmd_ingest(args, config: dict) -> int:
     t0 = time.perf_counter()
-    summary = _ingest(args.input, args.output, _ingest_options(args, config))
+    _count, summary = _ingest(args.input, _ingest_options(args, config),
+                              functools.partial(write_transfers, args.output))
     _emit(dict(summary.as_dict(), output=args.output,
                elapsed_s=round(time.perf_counter() - t0, 3)))
     return EXIT_OK
@@ -354,7 +348,7 @@ def cmd_contract(args, config: dict) -> int:
 
 def cmd_analyze(args, config: dict) -> int:
     cuts = _bucket_cuts(args, config)
-    contracted, _assignment, meta, labels = load_contracted(args.contracted)
+    contracted, meta, labels = load_quotient(args.contracted)
     before = meta.get("before")
     keys = {f.name for f in dataclasses.fields(GraphStats)}
     if not (isinstance(before, dict) and before.keys() == keys
@@ -440,9 +434,8 @@ def cmd_run(args, config: dict) -> int:
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
 
-    graph = AggregatedGraph()
     with _timed(timings, "ingest_and_build"):
-        summary = _ingest(args.input, out(TRANSFERS_FILE), ingest_opts, graph)
+        graph, summary = _ingest(args.input, ingest_opts, build_graph)
     with _timed(timings, "save_graph"):
         before = _save_graph(graph, out(GRAPH_DIR))
     with _timed(timings, "detect"):

@@ -500,9 +500,19 @@ def load_contracted(
     directory: str,
 ) -> tuple[ContractedGraph, ClusterAssignment, dict, dict[int, str]]:
     """Read back a directory written by save_contracted. Returns the
-    graph, the assignment, the meta dict and the cluster label map. A
-    repeated cluster or edge, or an edge to a cluster that nodes.csv
-    lacks, is a malformed row."""
+    graph, the assignment, the meta dict and the cluster label map."""
+    contracted, meta, labels = load_quotient(directory)
+    assignment: ClusterAssignment = dict(
+        read_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",))
+    )
+    return contracted, assignment, meta, labels
+
+
+def load_quotient(directory: str) -> tuple[ContractedGraph, dict, dict[int, str]]:
+    """Read back the quotient of a directory written by save_contracted,
+    without its assignment.csv. Returns the graph, the meta dict and the
+    cluster label map. A repeated cluster or edge, or an edge to a
+    cluster that nodes.csv lacks, is a malformed row."""
     contracted = ContractedGraph()
     nodes, edges = contracted.nodes, contracted.edges
     labels: dict[int, str] = {}
@@ -529,9 +539,6 @@ def load_contracted(
         os.path.join(directory, CONTRACTED_EDGES_FILE), _EDGES_HEADER, _EDGES_HEADER, known_pair
     ):
         edges[(src, dst)] = EdgeAggregate(flux, multiplicity)
-    assignment: ClusterAssignment = dict(
-        read_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",))
-    )
     meta_path = os.path.join(directory, META_FILE)
     meta: dict = {}
     if os.path.exists(meta_path):
@@ -546,4 +553,4 @@ def load_contracted(
                 ) from None
         if not isinstance(meta, dict):
             raise MalformedRecordError("expected a JSON object", 1, meta_path)
-    return contracted, assignment, meta, labels
+    return contracted, meta, labels

@@ -33,9 +33,9 @@ from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
+from typing import Iterable, Iterator, KeysView, NamedTuple, NoReturn, Optional
 
-from .errors import UnknownAccountError
+from .errors import MalformedRecordError, UnknownAccountError
 from .records import TransferRecord
 from .tables import read_table, write_table
 
@@ -384,15 +384,55 @@ def _positive_edge(row: list) -> Optional[str]:
 
 
 def load_graph(directory: str) -> AggregatedGraph:
-    """Rebuild a graph saved by save_graph; totals are recomputed exactly."""
+    """Rebuild a graph saved by save_graph; totals are recomputed exactly.
+    A repeated account or edge, or an edge naming an account that
+    nodes.csv lacks, is a malformed row."""
+    nodes_path = os.path.join(directory, NODES_FILE)
+    edges_path = os.path.join(directory, EDGES_FILE)
     g = AggregatedGraph()
-    for sender, recipient, flux, multiplicity in read_table(
-        os.path.join(directory, EDGES_FILE),
-        EDGES_HEADER,
-        ("flux_planck", "multiplicity"),
-        _positive_edge,
-    ):
-        g.add_edge(sender, recipient, flux, multiplicity)
-    for (account,) in read_table(os.path.join(directory, NODES_FILE), NODES_HEADER):
+    rows = 0
+    for rows, (account,) in enumerate(read_table(nodes_path, NODES_HEADER), 1):
         g.add_node(account)
+    known = g.order
+    if known != rows:
+        _raise_at_first_fault(nodes_path, NODES_HEADER, _repeat_check(1, "account"))
+    rows = 0
+    for rows, (sender, recipient, flux, multiplicity) in enumerate(read_table(
+        edges_path, EDGES_HEADER, ("flux_planck", "multiplicity"), _positive_edge,
+    ), 1):
+        g.add_edge(sender, recipient, flux, multiplicity)
+    if g.order != known or g.aggregated_size != rows:
+        ids = g.ids
+        repeated = _repeat_check(2, "edge")
+
+        def known_edge(row: list) -> Optional[str]:
+            for account in row[:2]:
+                if ids.get(account, known) >= known:
+                    return f"account {account!r} is not in {NODES_FILE}"
+            return repeated(row)
+
+        _raise_at_first_fault(edges_path, EDGES_HEADER, known_edge)
     return g
+
+
+def _repeat_check(width: int, what: str):
+    """A read_table check rejecting a row whose first width cells
+    repeat those of an earlier row."""
+    seen = set()
+
+    def check(row: list) -> Optional[str]:
+        key = tuple(row[:width])
+        if key in seen:
+            return f"{what} {' -> '.join(map(repr, key))} appears twice"
+        seen.add(key)
+        return None
+
+    return check
+
+
+def _raise_at_first_fault(path: str, header: list[str], check) -> NoReturn:
+    """Read a table whose row count did not add up once more, now with a
+    check that finds the faulty row, and raise its MalformedRecordError."""
+    for _row in read_table(path, header, (), check):
+        pass
+    raise MalformedRecordError(f"{path} changed while it was read")

@@ -256,6 +256,23 @@ class TestMalformedFiles:
         assert code == cli.EXIT_MALFORMED
         assert "edges.csv:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes, edge_rows, where", [
+        pytest.param("a\nb\nc\n", ["b,c,1,1", "a,b,5,1"], "edges.csv:4:",
+                     id="repeated_edge"),
+        pytest.param("a\nb\nb\nc\n", [], "nodes.csv:4:", id="repeated_account"),
+        pytest.param("a\nb\nc\n", ["c,ghost,1,1"], "edges.csv:3:",
+                     id="edge_to_unknown_account"),
+        pytest.param("a\nb\nb\n", ["b,c,1,1"], "nodes.csv:4:",
+                     id="repeat_hides_missing_account"),
+    ])
+    def test_stats_on_inconsistent_graph(self, tmp_path, capsys, nodes, edge_rows, where):
+        graph = write_graph(tmp_path / "graph", edge_rows)
+        (tmp_path / "graph" / "nodes.csv").write_text("account\n" + nodes)
+        code = cli.main(["stats", "--graph", graph, "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
     def test_contract_on_non_integer_color(self, tmp_path, capsys):
         graph = write_graph(tmp_path / "graph", [])
         coloring = tmp_path / "coloring.csv"
@@ -436,8 +453,8 @@ class TestStageChaining:
         for argv in steps:
             assert cli.main(argv + ["--quiet"]) == cli.EXIT_OK, argv[0]
 
+        assert not (whole / "transfers.jsonl").exists()
         same = [
-            ("transfers.jsonl", transfers),
             ("graph/nodes.csv", graph_dir / "nodes.csv"),
             ("graph/edges.csv", graph_dir / "edges.csv"),
             ("clusters.csv", clusters),
@@ -455,6 +472,34 @@ class TestStageChaining:
         ]
         for rel, staged_path in same:
             assert (whole / rel).read_bytes() == staged_path.read_bytes(), rel
+
+    def test_run_counts_and_graph_match_ingest_then_build(self, tmp_path, ledger, capsys):
+        _, path, _ = ledger
+        with open(path, "r", encoding="utf-8") as src:
+            lines = src.readlines()
+        blocks = sorted({json.loads(line)["block_number"] for line in lines})
+        start = blocks[len(blocks) // 2]
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(lines[:5]) + "this is not json\n" + "".join(lines[5:]))
+        flags = ["--start-block", str(start), "--on-error", "skip", "--quiet"]
+
+        whole = tmp_path / "whole"
+        assert cli.main(["run", "--input", str(mixed), "--output", str(whole),
+                         "--no-detect"] + flags) == cli.EXIT_OK
+        counts = json.loads((whole / "manifest.json").read_text())["ingest"]
+
+        transfers = tmp_path / "transfers.jsonl"
+        graph_dir = tmp_path / "graph"
+        capsys.readouterr()
+        assert cli.main(["ingest", "--input", str(mixed), "--output", str(transfers)]
+                        + flags) == cli.EXIT_OK
+        emitted = json.loads(capsys.readouterr().out)
+        assert counts == {key: emitted[key] for key in counts}
+        assert counts["error_lines"] == 1 and counts["below_start_block"] > 0
+        assert cli.main(["build", "--input", str(transfers), "--output", str(graph_dir),
+                         "--quiet"]) == cli.EXIT_OK
+        for name in ("nodes.csv", "edges.csv"):
+            assert (whole / "graph" / name).read_bytes() == (graph_dir / name).read_bytes()
 
     def test_rerun_is_deterministic_apart_from_timings(self, tmp_path, ledger):
         root, path, _ = ledger
