@@ -231,13 +231,15 @@ def _detection_summary(clusters) -> dict:
 def _detect(graph: AggregatedGraph, params: DetectionParams | None, labels,
             clusters_path: str, coloring_path: str | None):
     """Find exchange clusters (none without params) and save them, and
-    the coloring they induce when coloring_path is given."""
+    the coloring they induce when coloring_path is given. Drops the
+    graph's views, which only detection reads."""
     clusters = detect_exchanges(graph, params, labels) if params else []
     save_clusters(clusters_path, clusters)
     coloring = None
     if coloring_path:
         coloring = build_coloring(graph, clusters)
         save_coloring(coloring_path, coloring)
+    graph.compact()
     log.info("detect: %d exchange clusters", len(clusters))
     return clusters, coloring
 

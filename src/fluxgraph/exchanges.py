@@ -333,16 +333,25 @@ ROLE_MAIN = "main"
 ROLE_DEPOSIT = "deposit"
 
 
-def _label_named(row: list) -> Optional[str]:
-    return None if row[0] and row[1] else "address and label must be non-empty"
-
-
 def load_labels(path: str) -> dict[str, str]:
-    """Read an address,label CSV (header required) into a dict."""
+    """Read an address,label CSV (header required) into a dict. An empty
+    cell or a repeated address is a malformed row."""
+    labels: dict[str, str] = {}
+
+    def labeled_once(row: list) -> Optional[str]:
+        address, label = row
+        if not (address and label):
+            return "address and label must be non-empty"
+        if address in labels:
+            return f"address {address!r} is labeled twice"
+        return None
+
     try:
-        return dict(read_table(path, LABELS_HEADER, check=_label_named))
+        for address, label in read_table(path, LABELS_HEADER, check=labeled_once):
+            labels[address] = label
     except OSError as exc:
         raise LabelFileError(f"cannot read label file {path}: {exc}") from None
+    return labels
 
 
 def save_clusters(path: str, clusters: Iterable[ExchangeCluster]) -> None:
@@ -361,16 +370,27 @@ def save_clusters(path: str, clusters: Iterable[ExchangeCluster]) -> None:
     )
 
 
-def _known_role(row: list) -> Optional[str]:
-    if row[3] in (ROLE_MAIN, ROLE_DEPOSIT):
-        return None
-    return f"role must be {ROLE_MAIN!r} or {ROLE_DEPOSIT!r}, got {row[3]!r}"
-
-
 def load_clusters(path: str) -> list[ExchangeCluster]:
+    """Read a clusters CSV written by save_clusters. An unknown role, a
+    row whose label differs from its cluster's earlier rows, or an
+    address listed twice is a malformed row."""
     found: dict[int, ExchangeCluster] = {}
+    listed: set[str] = set()
+
+    def consistent(row: list) -> Optional[str]:
+        cid, label, address, role = row
+        if role not in (ROLE_MAIN, ROLE_DEPOSIT):
+            return f"role must be {ROLE_MAIN!r} or {ROLE_DEPOSIT!r}, got {role!r}"
+        cluster = found.get(cid)
+        if cluster is not None and cluster.label != label:
+            return f"cluster {cid} is labeled {cluster.label!r} above, not {label!r}"
+        if address in listed:
+            return f"address {address!r} is listed twice"
+        listed.add(address)
+        return None
+
     for cid, label, address, role in read_table(
-        path, CLUSTERS_HEADER, ("cluster_id",), _known_role
+        path, CLUSTERS_HEADER, ("cluster_id",), consistent
     ):
         cluster = found.get(cid)
         if cluster is None:

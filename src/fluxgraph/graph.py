@@ -12,12 +12,16 @@ Edges live in one append-only table of four parallel lists: edge e runs
 from node src[e] to node dst[e] and carries flux[e] Planck over mult[e]
 transfers. An edge is appended the first time its ordered pair is seen
 and never moves; later transfers on the pair add to its flux and mult.
-While folding, a dedup index maps each pair's packed key, src << ID_BITS
-| dst, to its edge id. adjacency() groups the edge ids by source and by
-target behind two offset arrays of one machine word per node, keeps them
-until an edge or a node is added, and drops the dedup index; the next
-fold rebuilds it from the table. degrees[i], the transfers in and out of
-node i with a self-loop's counted once, is kept up to date while folding.
+
+The table, names and ids are the graph's only state. Everything else is
+a view worked out from the table when first needed: the dedup index,
+which maps each pair's packed key, src << ID_BITS | dst, to its edge id
+and which folding keeps up to date; degrees[i], the transfers in and out
+of node i with a self-loop's counted once; and adjacency(), the edge ids
+grouped by source and by target behind two offset arrays of one machine
+word per node. The last two are kept until a fold changes them.
+compact() drops all three once their last reader is done; build_graph
+and load_graph call it when their fold ends.
 
 Values that belong to nodes, such as a coloring or a cluster assignment,
 are arrays indexed by node id; AccountMap lends one the account-keyed
@@ -93,20 +97,20 @@ def _grouped(endpoint: list[int], order: int) -> tuple[array, array]:
 class AggregatedGraph:
     """Directed graph of accounts with flux/multiplicity edge weights.
 
-    names, ids, degrees and the edge table src, dst, flux and mult are
-    the interned core, read by the layers above; only the methods below
+    names, ids and the edge table src, dst, flux and mult are the
+    interned core, read by the layers above; only the methods below
     change them.
     """
 
     def __init__(self):
         self.names: list[str] = []
         self.ids: dict[str, int] = {}
-        self.degrees: list[int] = []
         self.src: list[int] = []
         self.dst: list[int] = []
         self.flux: list[int] = []
         self.mult: list[int] = []
-        self._index: Optional[dict[int, int]] = {}
+        self._index: Optional[dict[int, int]] = None
+        self._degrees: Optional[list[int]] = None
         self._adjacency: Optional[Adjacency] = None
         self._tx_count = 0
         self._flux = 0
@@ -123,8 +127,7 @@ class AggregatedGraph:
             )
         self.ids[account] = node
         self.names.append(account)
-        self.degrees.append(0)
-        self._adjacency = None
+        self._degrees = self._adjacency = None
         return node
 
     def add_node(self, account: str) -> None:
@@ -167,19 +170,21 @@ class AggregatedGraph:
         else:
             self.flux[e] += flux
             self.mult[e] += mult
-        degrees = self.degrees
-        degrees[s] += mult
-        if r != s:
-            degrees[r] += mult
+        self._degrees = None
         self._tx_count += mult
         self._flux += flux
 
     def _reindex(self) -> dict[int, int]:
-        """Rebuild the dedup index that adjacency() dropped."""
+        """Work out the dedup index from the table."""
         index = self._index = {
             s << ID_BITS | r: e for e, (s, r) in enumerate(zip(self.src, self.dst))
         }
         return index
+
+    def compact(self) -> None:
+        """Drop the dedup index, the degrees and the adjacency, keeping
+        only the table; each is worked out again when next needed."""
+        self._index = self._degrees = self._adjacency = None
 
     # -- inspection ----------------------------------------------------
 
@@ -220,11 +225,23 @@ class AggregatedGraph:
         except KeyError:
             raise UnknownAccountError(account) from None
 
+    @property
+    def degrees(self) -> list[int]:
+        """degrees[i] is the number of transfers in and out of node i, a
+        self-loop's counted once. Worked out in one pass over the table
+        and kept until the next fold."""
+        if self._degrees is None:
+            degrees = [0] * len(self.names)
+            for s, r, mult in zip(self.src, self.dst, self.mult):
+                degrees[s] += mult
+                if r != s:
+                    degrees[r] += mult
+            self._degrees = degrees
+        return self._degrees
+
     def adjacency(self) -> Adjacency:
         """The edge ids grouped by source and by target. Worked out once
-        and kept until an edge or a node is added; drops the dedup index,
-        which only folding needs."""
-        self._index = None
+        and kept until an edge or a node is added."""
         if self._adjacency is None:
             order = len(self.names)
             self._adjacency = Adjacency(*_grouped(self.src, order), *_grouped(self.dst, order))
@@ -320,6 +337,7 @@ def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
     g = AggregatedGraph()
     for t in transfers:
         g.add_transfer(t.sender, t.recipient, t.amount_planck)
+    g.compact()
     return g
 
 
@@ -412,6 +430,7 @@ def load_graph(directory: str) -> AggregatedGraph:
             return repeated(row)
 
         _raise_at_first_fault(edges_path, EDGES_HEADER, known_edge)
+    g.compact()
     return g
 
 

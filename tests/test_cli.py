@@ -344,6 +344,51 @@ class TestMalformedFiles:
         assert code == cli.EXIT_MALFORMED
         assert "labels.csv:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["detect", "run"])
+    def test_repeated_address_in_labels(self, tmp_path, ledger, capsys, command):
+        root, path, _ = ledger
+        rows = (root / "labels.csv").read_text().splitlines()
+        address, _label = rows[1].split(",")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(rows + [f"{address},other"]) + "\n")
+        out = tmp_path / "out"
+        if command == "detect":
+            argv = ["detect", "--graph", write_graph(tmp_path / "graph", []),
+                    "--output", str(out)]
+        else:
+            argv = ["run", "--input", path, "--output", str(out)]
+        code = cli.main(argv + ["--labels", str(labels), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"labels.csv:{len(rows) + 1}:" in err and "twice" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, reason", [
+        pytest.param("1,acme,a,main\n1,gamma,b,deposit\n", "labeled 'acme'",
+                     id="label_disagrees"),
+        pytest.param("1,acme,a,main\n1,acme,a,deposit\n", "listed twice",
+                     id="address_main_and_deposit"),
+        pytest.param("1,acme,a,main\n2,zeta,a,main\n", "listed twice",
+                     id="address_in_two_clusters"),
+    ])
+    @pytest.mark.parametrize("command", ["contract", "analyze"])
+    def test_inconsistent_clusters_file(self, tmp_path, ledger, capsys, command, rows,
+                                        reason):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text("cluster_id,label,address,role\n" + rows)
+        out = tmp_path / "out"
+        if command == "contract":
+            argv = ["contract", "--graph", write_graph(tmp_path / "graph", [])]
+        else:
+            assert run_pipeline(ledger[1], tmp_path / "run") == cli.EXIT_OK
+            argv = ["analyze", "--contracted", str(tmp_path / "run" / "contracted")]
+        code = cli.main(argv + ["--clusters", str(clusters), "--output", str(out),
+                                "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "clusters.csv:3:" in err and reason in err and "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--output", "out.jsonl", "--on-error", "fail"],
