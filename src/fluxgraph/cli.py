@@ -40,6 +40,7 @@ from .analytics import (
 # stay importable from this module: bench/spans.py wraps the layer functions
 # by these names
 from .contraction import (
+    CONTRACTED_NODES_FILE,
     canonical_form,
     contract,
     oracle_contract,
@@ -55,6 +56,7 @@ from .errors import (
     LabelFileError,
     MalformedRecordError,
     VerificationError,
+    check_type,
 )
 from .exchanges import (
     Coloring,
@@ -118,10 +120,7 @@ def _load_pipeline_config(path: str | None) -> dict:
 
 def _stage_options(args, config: dict, stage: str, defaults: dict) -> dict:
     """Resolve one stage's options: CLI flag, else config block, else default.
-
-    A config value must have its default's type (bool is not an int; an
-    int may stand for a float); a default of None admits any value.
-    """
+    A config value must pass check_type against its default."""
     block = config.get(stage, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config block {stage!r} must be an object")
@@ -133,12 +132,7 @@ def _stage_options(args, config: dict, stage: str, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = block.get(key, default)
-            kind = type(default)
-            if not (default is None or type(value) is kind
-                    or (kind is float and type(value) is int)):
-                raise ConfigError(
-                    f"config key {stage}.{key} must be {kind.__name__}, got {value!r}"
-                )
+            check_type(f"config key {stage}.{key}", value, default)
         resolved[key] = value
     return resolved
 
@@ -314,8 +308,8 @@ def cmd_stats(args, config: dict) -> int:
 def cmd_detect(args, config: dict) -> int:
     t0 = time.perf_counter()
     params, labels_path = _detection_options(args, config)
-    graph = load_graph(args.graph)
     labels = load_labels(labels_path) if labels_path else None
+    graph = load_graph(args.graph)
     clusters, _coloring = _detect(graph, params, labels, args.output, args.coloring)
     _emit(dict(
         _detection_summary(clusters),
@@ -348,6 +342,25 @@ def cmd_contract(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _check_clusters(clusters, contracted, labels: dict[int, str], clusters_path: str,
+                    contracted_dir: str) -> None:
+    """Raise FluxGraphError unless every cluster is a quotient node colored
+    by its own id, labeled alike in both files when the quotient names it."""
+    nodes_path = os.path.join(contracted_dir, CONTRACTED_NODES_FILE)
+    for cluster in clusters:
+        cid = cluster.cluster_id
+        node = contracted.nodes.get(cid)
+        if node is None or node.color != cid:
+            raise FluxGraphError(
+                f"{clusters_path}: cluster {cid} is not an exchange cluster in {nodes_path}"
+            )
+        if labels.get(cid, cluster.label) != cluster.label:
+            raise FluxGraphError(
+                f"{clusters_path}: cluster {cid} is labeled {cluster.label!r}, "
+                f"but {labels[cid]!r} in {nodes_path}"
+            )
+
+
 def cmd_analyze(args, config: dict) -> int:
     cuts = _bucket_cuts(args, config)
     contracted, meta, labels = load_quotient(args.contracted)
@@ -360,7 +373,10 @@ def cmd_analyze(args, config: dict) -> int:
             f"produce it with the contract or run command"
         )
     before = GraphStats(**before)
-    clusters = load_clusters(args.clusters) if args.clusters else []
+    clusters = []
+    if args.clusters:
+        clusters = load_clusters(args.clusters)
+        _check_clusters(clusters, contracted, labels, args.clusters, args.contracted)
     report = _analyze(before, contracted, clusters, cuts, args.output, labels)
     _emit({
         "output": args.output,
@@ -626,7 +642,8 @@ def _main(argv) -> int:
     except (OSError, LabelFileError) as exc:
         return _fail(EXIT_IO, exc)
     except FluxGraphError as exc:
-        # unknown account, overlapping clusters, partial coloring
+        # unknown account, overlapping clusters, partial coloring, a
+        # clusters file that disagrees with the quotient
         return _fail(EXIT_DATA, exc)
 
 

@@ -9,6 +9,16 @@ class ConfigError(FluxGraphError):
     """A configuration value or file is invalid."""
 
 
+def check_type(name: str, value, default) -> None:
+    """Raise ConfigError naming name unless value has default's type.
+    bool is not an int, an int may stand for a float, and a default of
+    None admits any value."""
+    kind = type(default)
+    if not (default is None or type(value) is kind
+            or (kind is float and type(value) is int)):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 class MalformedRecordError(FluxGraphError):
     """A ledger record line or a CSV row could not be parsed.
 

@@ -112,8 +112,6 @@ class AggregatedGraph:
         self._index: Optional[dict[int, int]] = None
         self._degrees: Optional[list[int]] = None
         self._adjacency: Optional[Adjacency] = None
-        self._tx_count = 0
-        self._flux = 0
         self._name_order: list[int] = []
 
     # -- construction -------------------------------------------------
@@ -171,8 +169,6 @@ class AggregatedGraph:
             self.flux[e] += flux
             self.mult[e] += mult
         self._degrees = None
-        self._tx_count += mult
-        self._flux += flux
 
     def _reindex(self) -> dict[int, int]:
         """Work out the dedup index from the table."""
@@ -203,11 +199,11 @@ class AggregatedGraph:
 
     @property
     def transaction_count(self) -> int:
-        return self._tx_count
+        return sum(self.mult)
 
     @property
     def total_flux(self) -> int:
-        return self._flux
+        return sum(self.flux)
 
     def edges(self) -> Iterator[tuple[str, str, EdgeAggregate]]:
         """(sender, recipient, aggregate) per edge, in edge-id order. Each

@@ -31,20 +31,15 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, asdict, dataclass, field, fields as dataclass_fields
 from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .errors import ConfigError
+from .analytics import CATEGORY_ORDER
+from .errors import ConfigError, check_type
 from .exchanges import DetectionParams, LABELS_HEADER
 from .tables import atomic_output, write_json, write_table
-
-CAT_INTRA_EXCHANGE = "intra_exchange"
-CAT_INTER_EXCHANGE = "inter_exchange"
-CAT_USER_EXCHANGE = "user_exchange"
-CAT_INTRA_USER = "intra_user"
-CATEGORIES = (CAT_INTRA_EXCHANGE, CAT_INTER_EXCHANGE, CAT_USER_EXCHANGE, CAT_INTRA_USER)
 
 _MAX_SMALL_COMPONENT = 40
 
@@ -84,6 +79,7 @@ class ScenarioConfig:
     validate_detectability: bool = True
 
     def validate(self) -> None:
+        _check_types(self, "scenario key ")
         if self.user_count < 0:
             raise ConfigError("user_count must be non-negative")
         for name in ("trader_fraction", "giant_fraction", "nontransfer_noise_rate",
@@ -102,6 +98,7 @@ class ScenarioConfig:
         seen_labels = set()
         total_deposits = 0
         for i, spec in enumerate(self.exchanges, 1):
+            _check_types(spec, f"exchange {i}: key ")
             if spec.main_wallets < 1:
                 raise ConfigError(f"exchange {i}: main_wallets must be at least 1")
             if spec.deposit_addresses < 0 or spec.withdrawals < 0 or spec.inter_exchange_tx < 0:
@@ -119,28 +116,28 @@ class ScenarioConfig:
             raise ConfigError("deposit addresses need users to act as customers")
 
 
+def _check_types(config, prefix: str) -> None:
+    """Raise ConfigError for a field of the dataclass instance config whose
+    value fails check_type against the field's default."""
+    for f in dataclass_fields(config):
+        default = f.default_factory() if f.default is MISSING else f.default
+        check_type(prefix + f.name, getattr(config, f.name), default)
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed JSON, rejecting unknown keys."""
+    """Build a ScenarioConfig from parsed JSON. An unknown key, an exchange
+    entry that is not an object, or, through validate(), a value of the
+    wrong type is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
-    known = {f.name for f in dataclass_fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown scenario config keys: {sorted(unknown)}")
     kwargs = dict(data)
-    specs = []
-    for raw in kwargs.pop("exchanges", []):
-        if not isinstance(raw, dict):
-            raise ConfigError("each exchange entry must be an object")
-        spec_known = {f.name for f in dataclass_fields(ExchangeSpec)}
-        spec_unknown = set(raw) - spec_known
-        if spec_unknown:
-            raise ConfigError(f"unknown exchange keys: {sorted(spec_unknown)}")
-        specs.append(ExchangeSpec(**raw))
+    exchanges = kwargs.pop("exchanges", [])
+    check_type("scenario key exchanges", exchanges, [])
     try:
+        specs = [ExchangeSpec(**raw) for raw in exchanges]
         config = ScenarioConfig(exchanges=specs, **kwargs)
     except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"scenario config: {exc}") from None
     config.validate()
     return config
 
@@ -248,10 +245,12 @@ def _component_sizes(rng: random.Random, organic: int, giant_fraction: float) ->
 
 
 class _Tally:
-    """Running ground-truth bookkeeping over planned transfers."""
+    """Running ground-truth bookkeeping over planned transfers. A
+    transfer's category is one of analytics.CATEGORY_ORDER; add() raises
+    KeyError for any other name."""
 
     def __init__(self):
-        self.categories = {cat: {"tx_count": 0, "flux": 0} for cat in CATEGORIES}
+        self.categories = {cat: {"tx_count": 0, "flux": 0} for cat in CATEGORY_ORDER}
         self.pairs: set[tuple[str, str]] = set()
         self.accounts: set[str] = set()
         self.per_exchange: dict[str, dict[str, int]] = {}
@@ -285,9 +284,13 @@ class _Tally:
 def _plan(config: ScenarioConfig, rng: random.Random):
     """Lay out every transfer before emission.
 
-    Returns (groups, tally, exchanges, traders, organic, mesh_parent).
-    A group is a tuple of transfer tuples that stay adjacent through the
-    final shuffle, so a deposit and its forward never split.
+    Returns (groups, tally, exchanges, users, traders, organic,
+    mesh_sizes, draw). A group is a tuple of transfer tuples that stay
+    adjacent through the final shuffle, so a deposit and its forward
+    never split. users holds the user names in id order; traders and
+    organic split a shuffle of them. mesh_sizes are the planned sizes of
+    the organic mesh components, each connected by construction. draw()
+    draws one amount from rng.
     """
     lo_log = math.log10(config.min_amount_planck)
     span = math.log10(config.max_amount_planck) - lo_log
@@ -296,10 +299,11 @@ def _plan(config: ScenarioConfig, rng: random.Random):
     )
 
     users = [f"U{i:07d}" for i in range(config.user_count)]
-    rng.shuffle(users)
+    shuffled = users.copy()
+    rng.shuffle(shuffled)
     trader_count = int(config.user_count * config.trader_fraction + 0.5)
-    traders = users[:trader_count]
-    organic = users[trader_count:]
+    traders = shuffled[:trader_count]
+    organic = shuffled[trader_count:]
 
     exchanges: list[PlantedExchange] = []
     for e, spec in enumerate(config.exchanges, 1):
@@ -315,21 +319,13 @@ def _plan(config: ScenarioConfig, rng: random.Random):
         tally.add(sender, recipient, amount, category)
         return (sender, recipient, amount)
 
-    # organic user mesh: preferential attachment inside each component
-    mesh_parent: dict[str, str] = {}
-
-    def mesh_find(x: str) -> str:
-        root = x
-        while mesh_parent[root] != root:
-            root = mesh_parent[root]
-        while mesh_parent[x] != root:
-            mesh_parent[x], x = root, mesh_parent[x]
-        return root
-
+    # organic user mesh: preferential attachment inside each component;
+    # every newcomer links to an earlier member, so each is connected
+    mesh_sizes: list[int] = []
     if config.mesh_edges_per_user > 0:
-        sizes = _component_sizes(rng, len(organic), config.giant_fraction)
+        mesh_sizes = _component_sizes(rng, len(organic), config.giant_fraction)
         cursor = 0
-        for size in sizes:
+        for size in mesh_sizes:
             members = organic[cursor : cursor + size]
             cursor += size
             bag = [members[0]]
@@ -344,38 +340,27 @@ def _plan(config: ScenarioConfig, rng: random.Random):
                 for target in targets:
                     amount = draw()
                     if rng.random() < 0.5:
-                        edge = plan(newcomer, target, amount, CAT_INTRA_USER)
+                        edge = plan(newcomer, target, amount, "intra_user")
                     else:
-                        edge = plan(target, newcomer, amount, CAT_INTRA_USER)
+                        edge = plan(target, newcomer, amount, "intra_user")
                     groups.append((edge,))
                     bag.append(target)
-                    for node in (newcomer, target):
-                        if node not in mesh_parent:
-                            mesh_parent[node] = node
-                    ra, rb = mesh_find(newcomer), mesh_find(target)
-                    if ra != rb:
-                        mesh_parent[rb] = ra
                 bag.extend([newcomer] * want)
 
     # deposit ownership: traders first, then organic users, cycling
-    customer_pool = traders + organic
     customers_of: dict[str, list[str]] = {}
-    deposit_main: dict[str, str] = {}
-    deposit_owner: dict[str, str] = {}
     pool_idx = 0
     for planted, spec in zip(exchanges, config.exchanges):
         customers: list[str] = []
         for i, deposit in enumerate(planted.deposits):
-            owner = customer_pool[pool_idx % len(customer_pool)]
+            owner = shuffled[pool_idx % len(shuffled)]
             pool_idx += 1
             main = planted.mains[i % len(planted.mains)]
-            deposit_main[deposit] = main
-            deposit_owner[deposit] = owner
             customers.append(owner)
             for _ in range(spec.deposit_rounds):
                 amount = draw()
-                pay_in = plan(owner, deposit, amount, CAT_USER_EXCHANGE)
-                forward = plan(deposit, main, amount, CAT_INTRA_EXCHANGE)
+                pay_in = plan(owner, deposit, amount, "user_exchange")
+                forward = plan(deposit, main, amount, "intra_exchange")
                 tally.add_exchange_intra(planted.label, amount)
                 groups.append((pay_in, forward))
         customers_of[planted.label] = customers
@@ -391,7 +376,7 @@ def _plan(config: ScenarioConfig, rng: random.Random):
             main = planted.mains[w % len(planted.mains)]
             target = rng.choice(customers)
             amount = draw()
-            groups.append((plan(main, target, amount, CAT_USER_EXCHANGE),))
+            groups.append((plan(main, target, amount, "user_exchange"),))
 
     # multi-main wallets exchange both ways so the cluster is connected
     for planted in exchanges:
@@ -399,7 +384,7 @@ def _plan(config: ScenarioConfig, rng: random.Random):
             for src, dst in ((planted.mains[j - 1], planted.mains[j]),
                              (planted.mains[j], planted.mains[j - 1])):
                 amount = draw()
-                groups.append((plan(src, dst, amount, CAT_INTRA_EXCHANGE),))
+                groups.append((plan(src, dst, amount, "intra_exchange"),))
                 tally.add_exchange_intra(planted.label, amount)
 
     # traffic between exchanges
@@ -412,29 +397,29 @@ def _plan(config: ScenarioConfig, rng: random.Random):
             src = rng.choice(planted.mains)
             dst = rng.choice(peer.mains)
             amount = draw()
-            groups.append((plan(src, dst, amount, CAT_INTER_EXCHANGE),))
+            groups.append((plan(src, dst, amount, "inter_exchange"),))
             tally.add_inter(planted.label, peer.label, amount)
 
     # pattern noise: a misbehaving deposit either leaks to a random user
-    # or its owner pays the main wallet directly
+    # or a random user pays its main wallet directly, bypassing it
     if config.pattern_noise_rate > 0 and users:
         for planted in exchanges:
-            for deposit in planted.deposits:
+            for i, deposit in enumerate(planted.deposits):
                 if rng.random() >= config.pattern_noise_rate:
                     continue
                 amount = draw()
                 if rng.random() < 0.5:
-                    leak_to = rng.choice(users)
+                    leak_to = rng.choice(shuffled)
                     groups.append(
-                        (plan(deposit, leak_to, amount, CAT_USER_EXCHANGE),)
+                        (plan(deposit, leak_to, amount, "user_exchange"),)
                     )
                 else:
-                    main = deposit_main[deposit]
-                    payer = rng.choice(users)
-                    groups.append((plan(payer, main, amount, CAT_USER_EXCHANGE),))
+                    main = planted.mains[i % len(planted.mains)]
+                    payer = rng.choice(shuffled)
+                    groups.append((plan(payer, main, amount, "user_exchange"),))
 
     rng.shuffle(groups)
-    return groups, tally, exchanges, traders, organic, mesh_parent, mesh_find
+    return groups, tally, exchanges, users, traders, organic, mesh_sizes, draw
 
 
 def _degree_rank(degree: dict[str, int], account: str) -> int | None:
@@ -525,7 +510,7 @@ _NOISE_TEMPLATES = (
 def _generate(config: ScenarioConfig, emit: Callable[[str], None]) -> GroundTruth:
     config.validate()
     rng = random.Random(config.seed)
-    groups, tally, exchanges, traders, organic, mesh_parent, mesh_find = _plan(
+    groups, tally, exchanges, users, traders, organic, mesh_sizes, draw = _plan(
         config, rng
     )
     if (
@@ -535,13 +520,11 @@ def _generate(config: ScenarioConfig, emit: Callable[[str], None]) -> GroundTrut
     ):
         _validate_detectability(config, groups, exchanges)
 
-    all_accounts = [f"U{i:07d}" for i in range(config.user_count)]
+    # users in id order, then the exchanges' accounts; _plan is done with users
+    all_accounts = users
     for planted in exchanges:
         all_accounts.extend(planted.mains)
         all_accounts.extend(planted.deposits)
-
-    lo_log = math.log10(config.min_amount_planck)
-    span = math.log10(config.max_amount_planck) - lo_log
 
     emitted = 0
     noise_records = 0
@@ -590,10 +573,7 @@ def _generate(config: ScenarioConfig, emit: Callable[[str], None]) -> GroundTrut
         if config.failed_noise_rate and rng.random() < config.failed_noise_rate and all_accounts:
             sender = rng.choice(all_accounts)
             recipient = rng.choice(all_accounts)
-            amount = _draw_amount(
-                rng, lo_log, span, config.min_amount_planck, config.max_amount_planck
-            )
-            emit_transfer(sender, recipient, amount, success=False)
+            emit_transfer(sender, recipient, draw(), success=False)
             failed_records += 1
         if config.zero_amount_noise_rate and rng.random() < config.zero_amount_noise_rate and all_accounts:
             sender = rng.choice(all_accounts)
@@ -603,18 +583,11 @@ def _generate(config: ScenarioConfig, emit: Callable[[str], None]) -> GroundTrut
         for sender, recipient, amount in group:
             emit_transfer(sender, recipient, amount)
 
-    # user clusters: mesh components plus a singleton for every other
-    # user that actually transacted
-    component_size: dict[str, int] = {}
-    for node in mesh_parent:
-        root = mesh_find(node)
-        component_size[root] = component_size.get(root, 0) + 1
-    singles = sum(
-        1
-        for user in tally.accounts
-        if user.startswith("U") and user not in mesh_parent
-    )
-    sizes = sorted(component_size.values(), reverse=True) + [1] * singles
+    # user clusters: the planned mesh components, which no other user-user
+    # transfer joins, plus a singleton for every other user that transacted;
+    # every mesh member transacted
+    transacting_users = sum(1 for account in tally.accounts if account.startswith("U"))
+    sizes = sorted(mesh_sizes, reverse=True) + [1] * (transacting_users - sum(mesh_sizes))
 
     labels = {}
     for planted in exchanges:

@@ -363,6 +363,15 @@ class TestMalformedFiles:
         assert f"labels.csv:{len(rows) + 1}:" in err and "twice" in err
         assert not out.exists()
 
+    def test_detect_reads_labels_before_the_graph(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("address,label\na,acme\na,zeta\n")
+        code = cli.main(["detect", "--graph", str(tmp_path / "absent"),
+                         "--labels", str(labels),
+                         "--output", str(tmp_path / "clusters.csv"), "--quiet"])
+        assert code == cli.EXIT_MALFORMED
+        assert f"{labels}:3:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows, reason", [
         pytest.param("1,acme,a,main\n1,gamma,b,deposit\n", "labeled 'acme'",
                      id="label_disagrees"),
@@ -388,6 +397,43 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert "clusters.csv:3:" in err and reason in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cluster, reason", [
+        pytest.param("1", "labeled 'acme', but", id="label_differs"),
+        pytest.param("999999", "not an exchange cluster", id="no_such_cluster"),
+        pytest.param("user", "not an exchange cluster", id="user_cluster"),
+    ])
+    def test_analyze_rejects_clusters_of_another_quotient(self, tmp_path, ledger, capsys,
+                                                          cluster, reason):
+        assert run_pipeline(ledger[1], tmp_path / "run") == cli.EXIT_OK
+        contracted = tmp_path / "run" / "contracted"
+        if cluster == "user":
+            rows = (contracted / "nodes.csv").read_text().splitlines()[1:]
+            cluster = next(row.split(",")[0] for row in rows if row.split(",")[1] == "0")
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text(f"cluster_id,label,address,role\n{cluster},acme,a,main\n")
+        out = tmp_path / "out"
+        code = cli.main(["analyze", "--contracted", str(contracted), "--clusters",
+                         str(clusters), "--output", str(out), "--quiet"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
+        assert str(clusters) in err and str(contracted / "nodes.csv") in err
+        assert not out.exists()
+
+    def test_analyze_accepts_clusters_over_an_unlabeled_quotient(self, tmp_path, ledger):
+        run = tmp_path / "run"
+        assert run_pipeline(ledger[1], run) == cli.EXIT_OK
+        # contract without --clusters leaves every label in nodes.csv empty
+        unlabeled = tmp_path / "unlabeled"
+        assert cli.main(["contract", "--graph", str(run / "graph"), "--coloring",
+                         str(run / "coloring.csv"), "--output", str(unlabeled),
+                         "--quiet"]) == cli.EXIT_OK
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text("cluster_id,label,address,role\n1,acme,a,main\n")
+        assert cli.main(["analyze", "--contracted", str(unlabeled), "--clusters",
+                         str(clusters), "--output", str(tmp_path / "out"),
+                         "--quiet"]) == cli.EXIT_OK
 
 
     @pytest.mark.parametrize("argv", [
@@ -779,6 +825,23 @@ class TestSynthCommand:
                          str(tmp_path / "ledger.jsonl"), "--quiet"])
         assert code == cli.EXIT_CONFIG
         assert "below the detection minimum" in capsys.readouterr().err
+        assert files_under(tmp_path) == ["scenario.json"]
+
+    @pytest.mark.parametrize("scenario, message", [
+        pytest.param({"user_count": "5"}, "user_count must be int, got '5'", id="str_for_int"),
+        pytest.param({"exchanges": 5}, "exchanges must be list, got 5", id="int_for_list"),
+        pytest.param({"seed": 1.5}, "seed must be int, got 1.5", id="float_for_int"),
+        pytest.param({"exchanges": [{"label": 5}]}, "label must be str, got 5",
+                     id="exchange_int_for_str"),
+    ])
+    def test_scenario_value_of_wrong_type(self, tmp_path, capsys, scenario, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = cli.main(["synth", "--scenario", str(path), "--output",
+                         str(tmp_path / "ledger.jsonl"), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert files_under(tmp_path) == ["scenario.json"]
 
     def test_unwritable_output_names_the_target(self, tmp_path, capsys, monkeypatch):

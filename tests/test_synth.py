@@ -5,7 +5,8 @@ import json
 import pytest
 
 from fluxgraph.errors import ConfigError
-from fluxgraph.exchanges import detect_exchanges, load_labels
+from fluxgraph.contraction import contract
+from fluxgraph.exchanges import Coloring, detect_exchanges, load_labels
 from fluxgraph.graph import AggregatedGraph
 from fluxgraph.records import IngestSummary, ingest
 from fluxgraph.synth import (
@@ -65,6 +66,10 @@ class TestConfig:
                  exchanges=[ExchangeSpec(deposit_addresses=5)]),
             dict(exchanges=[ExchangeSpec(label="x"), ExchangeSpec(label="x")]),
             dict(exchanges=[ExchangeSpec(inter_exchange_tx=2)]),
+            # a library caller gets the type rule of scenario files too
+            dict(seed=1.5),
+            dict(min_amount_planck=float(10**8)),
+            dict(exchanges=[ExchangeSpec(label=5)]),
         ]
         for overrides in cases:
             with pytest.raises(ConfigError):
@@ -194,6 +199,41 @@ class TestGroundTruthAccounting:
         save_ground_truth(truth, str(tmp_path))
         assert load_labels(str(tmp_path / "labels.csv")) == truth.labels
         assert set(truth.labels.values()) == {"ze,ta"}
+
+
+class TestUserComponentSizes:
+    @pytest.mark.parametrize("organic", [0, 1, 2, 3, None])
+    @pytest.mark.parametrize("pattern_noise", [0.0, 0.3])
+    @pytest.mark.parametrize("mesh", [0, 1, 2])
+    def test_sizes_match_the_planted_contraction(self, mesh, pattern_noise, organic):
+        """user_component_sizes are the user clusters contract() finds when
+        every exchange account has its exchange's color and the rest 0;
+        organic=None keeps small_scenario's 240 organic users."""
+        overrides = dict(mesh_edges_per_user=mesh, pattern_noise_rate=pattern_noise,
+                         validate_detectability=False)
+        if organic is not None:
+            traders = 20
+            overrides.update(
+                user_count=traders + organic,
+                trader_fraction=traders / (traders + organic),
+                exchanges=[
+                    ExchangeSpec(label="acme", main_wallets=2, deposit_addresses=12,
+                                 withdrawals=2, inter_exchange_tx=2),
+                    ExchangeSpec(label="zeta", deposit_addresses=9, inter_exchange_tx=1),
+                ],
+            )
+        lines, truth = generate(small_scenario(**overrides))
+        if organic is not None:
+            assert len(truth.organic_users) == organic
+        g = graph_of(lines)
+        planted = {account: color
+                   for color, e in enumerate(truth.exchanges, 1)
+                   for account in e.mains + e.deposits}
+        coloring = Coloring.from_mapping(g, {a: planted.get(a, 0) for a in g.names})
+        contracted, _assignment = contract(g, coloring)
+        users = sorted((n.member_count for n in contracted.nodes.values() if n.color == 0),
+                       reverse=True)
+        assert truth.user_component_sizes == users
 
 
 class TestDetectabilityGuard:
