@@ -20,7 +20,9 @@ import functools
 import gc
 import json
 import logging
+import marshal
 import os
+import signal
 import sys
 import time
 
@@ -47,6 +49,7 @@ from .contraction import (
     save_contracted,
     load_contracted,
     load_quotient,
+    quotient_rows,
     verify_contraction,
 )
 from .errors import (
@@ -174,21 +177,27 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _peak_rss() -> str:
-    """The process's peak resident set size so far, for progress logs."""
+def _peak_rss(children: bool = False) -> str:
+    """The peak resident set size so far of this process, or of its
+    largest child reaped so far, for progress logs."""
     if resource is None:
         return "unknown"
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(
+        resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF).ru_maxrss
     # kilobytes on Linux, bytes on macOS
     return f"{peak / (1 << (20 if sys.platform == 'darwin' else 10)):.1f} MB"
+
+
+def _log_stage(timings: dict, key: str, seconds: float, children: bool = False) -> None:
+    timings[key] = seconds
+    log.debug("stage %s: %.3f s, peak RSS %s", key, seconds, _peak_rss(children))
 
 
 @contextlib.contextmanager
 def _timed(timings: dict, key: str):
     t0 = time.perf_counter()
     yield
-    timings[key] = time.perf_counter() - t0
-    log.debug("stage %s: %.3f s, peak RSS %s", key, timings[key], _peak_rss())
+    _log_stage(timings, key, time.perf_counter() - t0)
 
 
 # -- stages: each called by its own command (inputs read from files) and
@@ -223,45 +232,127 @@ def _detection_summary(clusters) -> dict:
 
 
 def _detect(graph: AggregatedGraph, params: DetectionParams | None, labels,
-            clusters_path: str, coloring_path: str | None):
-    """Find exchange clusters (none without params) and save them, and
-    the coloring they induce when coloring_path is given. Drops the
-    graph's views, which only detection reads."""
+            coloring: bool):
+    """Find exchange clusters (none without params) and, when coloring,
+    the coloring they induce. Drops the graph's views, which only
+    detection reads."""
     clusters = detect_exchanges(graph, params, labels) if params else []
-    save_clusters(clusters_path, clusters)
-    coloring = None
-    if coloring_path:
-        coloring = build_coloring(graph, clusters)
-        save_coloring(coloring_path, coloring)
+    colors = build_coloring(graph, clusters) if coloring else None
     graph.compact()
     log.info("detect: %d exchange clusters", len(clusters))
-    return clusters, coloring
+    return clusters, colors
 
 
-def _verify(expected, contracted, assignment) -> None:
-    """Cross-check a contraction against the independent implementation's
-    result, expected: the oracle's (quotient, assignment) pair."""
+def _save_detection(clusters, coloring: Coloring | None, clusters_path: str,
+                    coloring_path: str | None) -> None:
+    save_clusters(clusters_path, clusters)
+    if coloring is not None:
+        save_coloring(coloring_path, coloring)
+
+
+class _Oracle:
+    """The --verify oracle's contraction, in quotient_rows form.
+
+    Where the process may fork, the oracle runs in a forked child while
+    the caller goes on, and rows() waits for it; elsewhere it runs here,
+    at once. The child only computes: it sends its rows and its own
+    seconds through a pipe and leaves by os._exit. A child that failed
+    or sent nothing is run again here, so that its genuine exception
+    surfaces. Used as a context manager, which reaps
+    the child on every path, killing it first if the caller raised.
+    """
+
+    def __init__(self, graph: AggregatedGraph, coloring: Coloring, timings: dict):
+        self._graph, self._coloring, self._timings = graph, coloring, timings
+        self._pid = None
+        self._rows = None
+        if hasattr(os, "fork"):
+            self._fork()
+        if self._pid is None:
+            self._rows = self._inline()
+
+    def _work(self):
+        t0 = time.perf_counter()
+        rows = quotient_rows(self._graph.names, *oracle_contract(self._graph, self._coloring))
+        return rows, time.perf_counter() - t0
+
+    def _inline(self):
+        rows, seconds = self._work()
+        _log_stage(self._timings, "verify", seconds)
+        return rows
+
+    def _fork(self) -> None:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: run inline
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    marshal.dump(self._work(), pipe)
+                status = 0
+            finally:
+                # skip the parent's cleanup and buffered output, whatever happened
+                os._exit(status)
+        os.close(write_fd)
+        self._pid, self._pipe = pid, open(read_fd, "rb")
+
+    def _reap(self) -> int:
+        pid, self._pid = self._pid, None
+        self._pipe.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def rows(self):
+        """The oracle's rows, handed over: this object keeps no reference."""
+        if self._pid is not None:
+            data = self._pipe.read()
+            status = self._reap()
+            if status == 0:
+                rows, seconds = marshal.loads(data)
+                _log_stage(self._timings, "verify", seconds, children=True)
+                return rows
+            log.debug("verify: the oracle's child exited with %d; running it here", status)
+            return self._inline()
+        rows, self._rows = self._rows, None
+        return rows
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+
+def _verify(oracle: _Oracle, graph: AggregatedGraph, contracted, assignment) -> None:
+    """Cross-check a contraction against the independent implementation's."""
     if not verify_contraction(contracted):
         raise VerificationError("contracted graph is not properly colored")
-    other, other_assignment = expected
+    # built before waiting for the oracle, which may still be working
+    rows = quotient_rows(graph.names, contracted, assignment)
     # both routes number clusters alike, so equal quotients have equal ids
-    if (other_assignment, other.nodes, other.edges) != (
-            assignment, contracted.nodes, contracted.edges):
+    if rows != oracle.rows():
         raise VerificationError("independent contraction produced a different quotient graph")
 
 
 def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, directory: str,
-              labels: dict[int, str], timings: dict, **meta):
-    """Contract, cross-check when verify, and save the quotient with meta in meta.json."""
-    with _timed(timings, "contract"):
-        # The oracle runs first: its working set is the larger of the two,
-        # so it peaks before the fast quotient exists, and contract()'s
-        # smaller working set then overlaps only the oracle's finished result.
-        expected = oracle_contract(graph, coloring) if verify else None
-        contracted, assignment = contract(graph, coloring)
-        if verify:
-            _verify(expected, contracted, assignment)
-        del expected
+              labels: dict[int, str], timings: dict, meanwhile=None, **meta):
+    """Contract, cross-check when verify, and save the quotient with meta
+    in meta.json. meanwhile, when given, is called first, while the
+    oracle works in its child."""
+    with _Oracle(graph, coloring, timings) if verify else contextlib.nullcontext() as oracle:
+        if meanwhile is not None:
+            meanwhile()
+        with _timed(timings, "contract"):
+            contracted, assignment = contract(graph, coloring)
+            if verify:
+                _verify(oracle, graph, contracted, assignment)
     meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
                 verified=verify)
     with _timed(timings, "save_contracted"):
@@ -310,7 +401,8 @@ def cmd_detect(args, config: dict) -> int:
     params, labels_path = _detection_options(args, config)
     labels = load_labels(labels_path) if labels_path else None
     graph = load_graph(args.graph)
-    clusters, _coloring = _detect(graph, params, labels, args.output, args.coloring)
+    clusters, coloring = _detect(graph, params, labels, bool(args.coloring))
+    _save_detection(clusters, coloring, args.output, args.coloring)
     _emit(dict(
         _detection_summary(clusters),
         labels=sorted(c.label for c in clusters),
@@ -321,6 +413,18 @@ def cmd_detect(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _check_colors(coloring: Coloring, clusters, coloring_path: str,
+                  clusters_path: str) -> None:
+    """Raise FluxGraphError unless every exchange color of the coloring
+    is the id of a cluster in clusters."""
+    missing = set(coloring.by_id).difference({c.cluster_id for c in clusters}, {0})
+    if missing:
+        color = min(missing)
+        account = next(a for a, c in coloring.colors.items() if c == color)
+        raise FluxGraphError(f"{coloring_path}: color {color} of account {account!r} "
+                             f"is not a cluster in {clusters_path}")
+
+
 def cmd_contract(args, config: dict) -> int:
     t0 = time.perf_counter()
     graph = load_graph(args.graph)
@@ -328,7 +432,11 @@ def cmd_contract(args, config: dict) -> int:
         coloring = load_coloring(args.coloring, graph)
     else:
         coloring = Coloring.all_users(graph)
-    clusters = load_clusters(args.clusters) if args.clusters else []
+    clusters = []
+    if args.clusters:
+        clusters = load_clusters(args.clusters)
+        if args.coloring:
+            _check_colors(coloring, clusters, args.coloring, args.clusters)
     labels = {c.cluster_id: c.label for c in clusters}
     contracted = _contract(graph, coloring, args.verify, args.output, labels, {})
     _emit({
@@ -454,14 +562,20 @@ def cmd_run(args, config: dict) -> int:
 
     with _timed(timings, "ingest_and_build"):
         graph, summary = _ingest(args.input, ingest_opts, build_graph)
-    with _timed(timings, "save_graph"):
-        before = _save_graph(graph, out(GRAPH_DIR))
     with _timed(timings, "detect"):
-        clusters, coloring = _detect(graph, params, labels,
-                                     out(CLUSTERS_FILE), out(COLORING_FILE))
+        clusters, coloring = _detect(graph, params, labels, coloring=True)
+
+    def save_inputs():  # written while the --verify oracle works
+        with _timed(timings, "save_graph"):
+            _save_graph(graph, out(GRAPH_DIR))
+        with _timed(timings, "save_detection"):
+            _save_detection(clusters, coloring, out(CLUSTERS_FILE), out(COLORING_FILE))
+
     cluster_labels = {c.cluster_id: c.label for c in clusters}
     contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
-                           timings, detect=detect_enabled, params=params_dict)
+                           timings, meanwhile=save_inputs, detect=detect_enabled,
+                           params=params_dict)
+    before = graph_stats(graph)
     with _timed(timings, "analyze"):
         _analyze(before, contracted, clusters, cuts, out(REPORT_DIR), cluster_labels)
 

@@ -18,7 +18,8 @@ exists for tests and for the --verify pipeline flag, and stays
 deliberately naive. Both feed the same deterministic numbering rule, so
 equal quotients get equal ids. canonical_form() keys clusters by their
 sorted member sets so outputs can be compared across processing orders,
-byte for byte.
+byte for byte; quotient_rows() is an exact, marshal-able form of one
+contraction, which --verify compares across processes.
 
 Accounting is conserved exactly: member counts sum to the original
 order, intra plus cross transfer counts to the original transaction
@@ -33,7 +34,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError, MalformedRecordError, PartialColoringError
+from .errors import (
+    ConfigError,
+    MalformedRecordError,
+    PartialColoringError,
+    VerificationError,
+)
 from .exchanges import Coloring
 from .graph import AccountMap, AggregatedGraph, EdgeAggregate
 from .tables import atomic_output, read_table, sorted_items, write_json, write_table
@@ -310,6 +316,27 @@ def verify_contraction(contracted: ContractedGraph) -> bool:
         if contracted.nodes[src].color == contracted.nodes[dst].color:
             return False
     return True
+
+
+def quotient_rows(
+    names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
+) -> tuple[list[tuple], list[tuple], bytes]:
+    """An exact, marshal-able form of a contraction of the graph whose
+    accounts are names: the node rows (key and all five fields) and the
+    edge rows (key, flux and multiplicity), each sorted, and the cluster
+    id of each of names as array('q') bytes. Two contractions of one
+    graph are equal iff their forms are. Raises VerificationError when
+    the assignment covers a different number of accounts than names."""
+    if len(assignment) != len(names):
+        raise VerificationError(f"cluster assignment covers {len(assignment)} accounts, "
+                                f"not the graph's {len(names)}")
+    nodes = sorted(
+        (cid, n.cluster_id, n.color, n.member_count, n.intra_flux, n.intra_tx_count)
+        for cid, n in contracted.nodes.items()
+    )
+    edges = sorted((src, dst, agg.flux, agg.multiplicity)
+                   for (src, dst), agg in contracted.edges.items())
+    return nodes, edges, array("q", map(assignment.__getitem__, names)).tobytes()
 
 
 _CANONICAL_HEADER = b"contracted-v1"

@@ -7,10 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from fluxgraph import cli
+from fluxgraph.errors import PartialColoringError
 from fluxgraph.synth import (
     ExchangeSpec,
     ScenarioConfig,
@@ -309,6 +311,27 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_contract_rejects_a_color_no_cluster_has(self, tmp_path, ledger, capsys):
+        root, path, _ = ledger
+        run = tmp_path / "run"
+        labels = os.path.join(str(root), "labels.csv")
+        assert run_pipeline(path, run, labels=labels) == cli.EXIT_OK
+        coloring = run / "coloring.csv"
+        header, first, *rest = coloring.read_text().splitlines()
+        account, color = first.split(",")
+        assert color == "0"
+        coloring.write_text("\n".join([header, f"{account},7", *rest]) + "\n")
+        argv = ["contract", "--graph", str(run / "graph"), "--coloring", str(coloring),
+                "--quiet"]
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--clusters", str(run / "clusters.csv"), "--output", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(coloring) in err and "color 7" in err and repr(account) in err
+        assert "Traceback" not in err and not out.exists()
+        # without --clusters there is nothing to check the colors against
+        assert cli.main(argv + ["--output", str(tmp_path / "unlabeled")]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("damage, where", [
         pytest.param(lambda nodes, edges: edges.write_text(
@@ -640,6 +663,19 @@ class TestStageChaining:
         assert sorted(logged) == sorted(stages)
         assert "peak RSS" not in proc.stdout
 
+    def test_verbose_run_with_verify_logs_the_oracle(self, tmp_path, ledger):
+        """Under --verify, timings_s and the log gain the oracle's own
+        seconds, with the peak RSS of the process it ran in."""
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        proc = run_module(["-m", "fluxgraph.cli", "run", "--input", path,
+                           "--output", str(out), "--verify", "--verbose"])
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads((out / "manifest.json").read_text())["timings_s"]
+        logged = re.findall(r"stage (\w+): \d+\.\d{3} s, peak RSS \d+\.\d MB\n", proc.stderr)
+        assert sorted(logged) == sorted(stages)
+        assert "verify" in stages
+
     def test_cli_imports_without_resource_module(self):
         proc = run_module(["-c", "import sys; sys.modules['resource'] = None; "
                                  "from fluxgraph import cli; print(cli._peak_rss())"])
@@ -664,6 +700,122 @@ class TestStageChaining:
         payload = json.loads(capsys.readouterr().out)
         assert payload["order"] > 0
         assert len(payload["top_by_degree"]) == 5
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestVerifyChild:
+    """run --verify works out the oracle in a forked child while the
+    parent writes and contracts; the result, the exit codes and what a
+    failure leaves are those of the oracle run inline, and no child
+    outlives the command."""
+
+    @pytest.fixture
+    def oracle_pids(self, monkeypatch):
+        """The ids of the processes that called the oracle, as this
+        process saw them: a child's call is not among them."""
+        pids = []
+        oracle = cli.oracle_contract
+
+        def recorded(graph, coloring):
+            pids.append(os.getpid())
+            return oracle(graph, coloring)
+
+        monkeypatch.setattr(cli, "oracle_contract", recorded)
+        return pids
+
+    def test_inline_oracle_gives_the_same_artifacts(self, tmp_path, ledger, monkeypatch,
+                                                    oracle_pids):
+        root, path, _ = ledger
+        labels = os.path.join(str(root), "labels.csv")
+        forked, inline = tmp_path / "forked", tmp_path / "inline"
+        assert run_pipeline(path, forked, labels=labels, extra=["--verify"]) == cli.EXIT_OK
+        assert oracle_pids == []
+        assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        assert run_pipeline(path, inline, labels=labels, extra=["--verify"]) == cli.EXIT_OK
+        assert oracle_pids == [os.getpid()]
+        assert files_under(forked) == files_under(inline)
+        for rel in files_under(forked):
+            if rel != "manifest.json":
+                assert (forked / rel).read_bytes() == (inline / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("command", ["run", "contract"])
+    def test_forks_from_a_single_threaded_process(self, tmp_path, ledger, monkeypatch,
+                                                  command):
+        """A fork from a multi-threaded process may deadlock the child
+        (Python 3.12+ warns of it), so the pipeline starts no thread."""
+        _, path, _ = ledger
+        staged = tmp_path / "staged"
+        assert run_pipeline(path, staged) == cli.EXIT_OK
+        threads = []
+        fork = os.fork
+
+        def counted():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        out = tmp_path / "out"
+        if command == "run":
+            code = run_pipeline(path, out, extra=["--verify"])
+        else:
+            code = cli.main(["contract", "--graph", str(staged / "graph"), "--coloring",
+                             str(staged / "coloring.csv"), "--output", str(out),
+                             "--verify", "--quiet"])
+        assert code == cli.EXIT_OK
+        assert threads == [1]
+        assert_no_child()
+
+    @pytest.mark.parametrize("command", ["run", "contract"])
+    def test_oracle_failing_in_the_child(self, tmp_path, ledger, monkeypatch, capsys,
+                                         command):
+        _, path, _ = ledger
+        staged = tmp_path / "staged"
+        assert run_pipeline(path, staged) == cli.EXIT_OK
+
+        def failing(graph, coloring):
+            raise PartialColoringError(f"oracle failed in process {os.getpid()}")
+
+        monkeypatch.setattr(cli, "oracle_contract", failing)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "run":
+            code = run_pipeline(path, out, extra=["--verify"])
+        else:
+            code = cli.main(["contract", "--graph", str(staged / "graph"), "--coloring",
+                             str(staged / "coloring.csv"), "--output", str(out),
+                             "--verify", "--quiet"])
+        assert code == cli.EXIT_DATA
+        # the genuine exception, raised again by the inline rerun
+        assert capsys.readouterr().err == f"error: oracle failed in process {os.getpid()}\n"
+        assert not (out / "contracted").exists() and not (out / "manifest.json").exists()
+        assert command == "run" or not out.exists()
+        assert_no_child()
+
+    def test_no_child_outlives_a_failure(self, tmp_path, ledger, monkeypatch, capsys):
+        _, path, _ = ledger
+        oracle = cli.oracle_contract
+
+        def disagreeing(graph, coloring):
+            contracted, assignment = oracle(graph, coloring)
+            next(iter(contracted.nodes.values())).intra_flux += 1
+            return contracted, assignment
+
+        monkeypatch.setattr(cli, "oracle_contract", disagreeing)
+        assert run_pipeline(path, tmp_path / "a", extra=["--verify"]) == cli.EXIT_VERIFY
+        assert_no_child()
+        # a parent-side failure while the child works: graph/ cannot be made
+        monkeypatch.setattr(cli, "oracle_contract", oracle)
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "graph").write_text("")
+        assert run_pipeline(path, out, extra=["--verify"]) == cli.EXIT_IO
+        assert "graph" in capsys.readouterr().err
+        assert_no_child()
 
 
 class TestConfigPrecedence:

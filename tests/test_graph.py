@@ -453,9 +453,9 @@ def test_bytes_per_edge_after_detect(footprint_transfers, tmp_path):
 
     def detected():
         g = build_footprint_graph(footprint_transfers)
-        clusters, _coloring = cli._detect(g, DetectionParams(), None,
-                                          str(tmp_path / "clusters.csv"),
-                                          str(tmp_path / "coloring.csv"))
+        clusters, coloring = cli._detect(g, DetectionParams(), None, coloring=True)
+        cli._save_detection(clusters, coloring, str(tmp_path / "clusters.csv"),
+                            str(tmp_path / "coloring.csv"))
         assert clusters
         return g
 
