@@ -415,14 +415,21 @@ def cmd_detect(args, config: dict) -> int:
 
 def _check_colors(coloring: Coloring, clusters, coloring_path: str,
                   clusters_path: str) -> None:
-    """Raise FluxGraphError unless every exchange color of the coloring
-    is the id of a cluster in clusters."""
-    missing = set(coloring.by_id).difference({c.cluster_id for c in clusters}, {0})
+    """Raise FluxGraphError unless the exchange colors of the coloring
+    (every color but 0) are exactly the ids of the clusters, so that
+    each label lands on the quotient node of its own cluster."""
+    colors = set(coloring.by_id) - {0}
+    ids = {c.cluster_id for c in clusters}
+    missing = colors - ids
     if missing:
         color = min(missing)
         account = next(a for a, c in coloring.colors.items() if c == color)
         raise FluxGraphError(f"{coloring_path}: color {color} of account {account!r} "
                              f"is not a cluster in {clusters_path}")
+    unused = ids - colors
+    if unused:
+        raise FluxGraphError(f"{clusters_path}: cluster {min(unused)} colors no account "
+                             f"in {coloring_path}")
 
 
 def cmd_contract(args, config: dict) -> int:
@@ -435,8 +442,8 @@ def cmd_contract(args, config: dict) -> int:
     clusters = []
     if args.clusters:
         clusters = load_clusters(args.clusters)
-        if args.coloring:
-            _check_colors(coloring, clusters, args.coloring, args.clusters)
+        source = args.coloring or f"{args.graph} (no --coloring: every account is a user)"
+        _check_colors(coloring, clusters, source, args.clusters)
     labels = {c.cluster_id: c.label for c in clusters}
     contracted = _contract(graph, coloring, args.verify, args.output, labels, {})
     _emit({
@@ -546,8 +553,7 @@ def cmd_run(args, config: dict) -> int:
     ingest_opts = _ingest_options(args, config)
     cuts = _bucket_cuts(args, config)
     run_opts = _stage_options(args, config, "run", {"detect": True, "verify": False})
-    detect_enabled = bool(run_opts["detect"]) and not args.no_detect
-    verify = bool(run_opts["verify"])
+    detect_enabled, verify = run_opts["detect"], run_opts["verify"]
     params, labels_path = _detection_options(args, config)
     params = params if detect_enabled else None
     # read before ingesting, so a bad labels file leaves no partial output
@@ -708,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the whole pipeline into one output directory")
     sp.add_argument("--input", required=True, metavar="FILE")
     sp.add_argument("--output", required=True, metavar="DIR")
-    sp.add_argument("--no-detect", action="store_true", default=False,
+    sp.add_argument("--no-detect", dest="detect", action="store_false", default=None,
                     help="skip exchange detection; contract user components only")
     sp.add_argument("--verify", action="store_true", default=None,
                     help="cross-check the contraction before reporting")

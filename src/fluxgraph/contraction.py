@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exchanges import Coloring
 from .graph import AccountMap, AggregatedGraph, EdgeAggregate
-from .tables import atomic_output, read_table, sorted_items, write_json, write_table
+from .tables import atomic_output, read_table, write_json, write_table
 
 # account -> cluster id; contract() returns an AccountMap over an array
 ClusterAssignment = Mapping[str, int]
@@ -514,7 +514,7 @@ def save_contracted(
         ([src, dst, agg.flux, agg.multiplicity] for (src, dst), agg in edges),
     )
     # an AccountMap runs in name order already
-    rows = assignment.items() if isinstance(assignment, AccountMap) else sorted_items(assignment)
+    rows = assignment.items() if isinstance(assignment, AccountMap) else sorted(assignment.items())
     write_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, rows)
     with atomic_output(os.path.join(directory, GRAPHML_FILE)) as fh:
         fh.writelines(_graphml_lines(nodes, edges, labels))
@@ -529,9 +529,11 @@ def load_contracted(
     """Read back a directory written by save_contracted. Returns the
     graph, the assignment, the meta dict and the cluster label map."""
     contracted, meta, labels = load_quotient(directory)
-    assignment: ClusterAssignment = dict(
-        read_table(os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",))
-    )
+    assignment: ClusterAssignment = {
+        account: cid for _line, (account, cid) in read_table(
+            os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",)
+        )
+    }
     return contracted, assignment, meta, labels
 
 
@@ -543,28 +545,28 @@ def load_quotient(directory: str) -> tuple[ContractedGraph, dict, dict[int, str]
     contracted = ContractedGraph()
     nodes, edges = contracted.nodes, contracted.edges
     labels: dict[int, str] = {}
-
-    def new_cluster(row: list) -> str | None:
-        return f"cluster_id {row[0]} appears twice" if row[0] in nodes else None
-
-    def known_pair(row: list) -> str | None:
-        for cid in row[:2]:
-            if cid not in nodes:
-                return f"cluster {cid} is not in {CONTRACTED_NODES_FILE}"
-        return f"edge {row[0]} -> {row[1]} appears twice" if tuple(row[:2]) in edges else None
-
-    for cid, color, label, member_count, intra_flux, intra_tx in read_table(
-        os.path.join(directory, CONTRACTED_NODES_FILE),
+    nodes_path = os.path.join(directory, CONTRACTED_NODES_FILE)
+    edges_path = os.path.join(directory, CONTRACTED_EDGES_FILE)
+    for line, (cid, color, label, member_count, intra_flux, intra_tx) in read_table(
+        nodes_path,
         _NODES_HEADER,
         ("cluster_id", "color", "member_count", "intra_flux_planck", "intra_tx_count"),
-        new_cluster,
     ):
+        if cid in nodes:
+            raise MalformedRecordError(f"cluster_id {cid} appears twice", line, nodes_path)
         nodes[cid] = ContractedNode(cid, color, member_count, intra_flux, intra_tx)
         if label:
             labels[cid] = label
-    for src, dst, flux, multiplicity in read_table(
-        os.path.join(directory, CONTRACTED_EDGES_FILE), _EDGES_HEADER, _EDGES_HEADER, known_pair
+    for line, (src, dst, flux, multiplicity) in read_table(
+        edges_path, _EDGES_HEADER, _EDGES_HEADER
     ):
+        for cid in (src, dst):
+            if cid not in nodes:
+                raise MalformedRecordError(
+                    f"cluster {cid} is not in {CONTRACTED_NODES_FILE}", line, edges_path
+                )
+        if (src, dst) in edges:
+            raise MalformedRecordError(f"edge {src} -> {dst} appears twice", line, edges_path)
         edges[(src, dst)] = EdgeAggregate(flux, multiplicity)
     meta_path = os.path.join(directory, META_FILE)
     meta: dict = {}

@@ -337,17 +337,12 @@ def load_labels(path: str) -> dict[str, str]:
     """Read an address,label CSV (header required) into a dict. An empty
     cell or a repeated address is a malformed row."""
     labels: dict[str, str] = {}
-
-    def labeled_once(row: list) -> Optional[str]:
-        address, label = row
-        if not (address and label):
-            return "address and label must be non-empty"
-        if address in labels:
-            return f"address {address!r} is labeled twice"
-        return None
-
     try:
-        for address, label in read_table(path, LABELS_HEADER, check=labeled_once):
+        for line, (address, label) in read_table(path, LABELS_HEADER):
+            if not (address and label):
+                raise MalformedRecordError("address and label must be non-empty", line, path)
+            if address in labels:
+                raise MalformedRecordError(f"address {address!r} is labeled twice", line, path)
             labels[address] = label
     except OSError as exc:
         raise LabelFileError(f"cannot read label file {path}: {exc}") from None
@@ -376,25 +371,21 @@ def load_clusters(path: str) -> list[ExchangeCluster]:
     address listed twice is a malformed row."""
     found: dict[int, ExchangeCluster] = {}
     listed: set[str] = set()
-
-    def consistent(row: list) -> Optional[str]:
-        cid, label, address, role = row
+    for line, (cid, label, address, role) in read_table(path, CLUSTERS_HEADER, ("cluster_id",)):
         if role not in (ROLE_MAIN, ROLE_DEPOSIT):
-            return f"role must be {ROLE_MAIN!r} or {ROLE_DEPOSIT!r}, got {role!r}"
-        cluster = found.get(cid)
-        if cluster is not None and cluster.label != label:
-            return f"cluster {cid} is labeled {cluster.label!r} above, not {label!r}"
-        if address in listed:
-            return f"address {address!r} is listed twice"
-        listed.add(address)
-        return None
-
-    for cid, label, address, role in read_table(
-        path, CLUSTERS_HEADER, ("cluster_id",), consistent
-    ):
+            raise MalformedRecordError(
+                f"role must be {ROLE_MAIN!r} or {ROLE_DEPOSIT!r}, got {role!r}", line, path
+            )
         cluster = found.get(cid)
         if cluster is None:
             cluster = found[cid] = ExchangeCluster(cluster_id=cid, label=label)
+        elif cluster.label != label:
+            raise MalformedRecordError(
+                f"cluster {cid} is labeled {cluster.label!r} above, not {label!r}", line, path
+            )
+        if address in listed:
+            raise MalformedRecordError(f"address {address!r} is listed twice", line, path)
+        listed.add(address)
         if role == ROLE_MAIN:
             cluster.main_addresses.add(address)
         else:
@@ -414,27 +405,15 @@ def load_coloring(path: str, graph: AggregatedGraph) -> Coloring:
     Each error names the file, and a row error its line."""
     ids = graph.ids
     by_id = array("q", [-1]) * graph.order
-    outside = []
-
-    def colorable(row: list) -> Optional[str]:
-        address, color = row
+    for line, (address, color) in read_table(path, COLORING_HEADER, ("color",)):
         if color > MAX_COLOR:
-            return f"color {color} is above {MAX_COLOR}"
+            raise MalformedRecordError(f"color {color} is above {MAX_COLOR}", line, path)
         node = ids.get(address)
         if node is None:
-            outside.append(address)
-            return f"account {address!r} is not in the graph"
+            raise UnknownAccountError(f"{path}:{line}: account {address!r} is not in the graph")
         if by_id[node] >= 0:
-            return f"account {address!r} is colored twice"
-        return None
-
-    try:
-        for address, color in read_table(path, COLORING_HEADER, ("color",), colorable):
-            by_id[ids[address]] = color
-    except MalformedRecordError as exc:
-        if outside:
-            raise UnknownAccountError(str(exc)) from None
-        raise
+            raise MalformedRecordError(f"account {address!r} is colored twice", line, path)
+        by_id[node] = color
     missing = by_id.count(-1)
     if missing:
         example = graph.names[by_id.index(-1)]

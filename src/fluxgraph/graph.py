@@ -37,7 +37,7 @@ from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, KeysView, NamedTuple, NoReturn, Optional
+from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import MalformedRecordError, UnknownAccountError
 from .records import TransferRecord
@@ -393,10 +393,6 @@ def save_graph(graph: AggregatedGraph, directory: str) -> None:
     write_table(os.path.join(directory, EDGES_FILE), EDGES_HEADER, _edge_rows(graph))
 
 
-def _positive_edge(row: list) -> Optional[str]:
-    return None if row[2] and row[3] else "flux_planck and multiplicity must be positive"
-
-
 def load_graph(directory: str) -> AggregatedGraph:
     """Rebuild a graph saved by save_graph; totals are recomputed exactly.
     A repeated account or edge, or an edge naming an account that
@@ -404,50 +400,33 @@ def load_graph(directory: str) -> AggregatedGraph:
     nodes_path = os.path.join(directory, NODES_FILE)
     edges_path = os.path.join(directory, EDGES_FILE)
     g = AggregatedGraph()
-    rows = 0
-    for rows, (account,) in enumerate(read_table(nodes_path, NODES_HEADER), 1):
-        g.add_node(account)
-    known = g.order
-    if known != rows:
-        _raise_at_first_fault(nodes_path, NODES_HEADER, _repeat_check(1, "account"))
-    rows = 0
-    for rows, (sender, recipient, flux, multiplicity) in enumerate(read_table(
-        edges_path, EDGES_HEADER, ("flux_planck", "multiplicity"), _positive_edge,
-    ), 1):
-        g.add_edge(sender, recipient, flux, multiplicity)
-    if g.order != known or g.aggregated_size != rows:
-        ids = g.ids
-        repeated = _repeat_check(2, "edge")
-
-        def known_edge(row: list) -> Optional[str]:
-            for account in row[:2]:
-                if ids.get(account, known) >= known:
-                    return f"account {account!r} is not in {NODES_FILE}"
-            return repeated(row)
-
-        _raise_at_first_fault(edges_path, EDGES_HEADER, known_edge)
+    names, ids, src = g.names, g.ids, g.src
+    # Each row is checked here, where its line is known, and then goes
+    # straight to _intern or _bump, as add_node and add_edge would only
+    # check it again. A fault shows in the graph's own state, as a known
+    # account or a length that did or did not grow: no per-row set.
+    for line, (account,) in read_table(nodes_path, NODES_HEADER):
+        if account in ids:
+            raise MalformedRecordError(f"account {account!r} appears twice", line, nodes_path)
+        g._intern(account)
+    known = len(names)
+    for line, (sender, recipient, flux, multiplicity) in read_table(
+        edges_path, EDGES_HEADER, ("flux_planck", "multiplicity")
+    ):
+        if not (flux and multiplicity):
+            raise MalformedRecordError(
+                "flux_planck and multiplicity must be positive", line, edges_path
+            )
+        size = len(src)
+        g._bump(sender, recipient, flux, multiplicity)
+        if len(names) != known:
+            # the first account interned past known is the row's first unknown one
+            raise MalformedRecordError(
+                f"account {names[known]!r} is not in {NODES_FILE}", line, edges_path
+            )
+        if len(src) == size:
+            raise MalformedRecordError(
+                f"edge {sender!r} -> {recipient!r} appears twice", line, edges_path
+            )
     g.compact()
     return g
-
-
-def _repeat_check(width: int, what: str):
-    """A read_table check rejecting a row whose first width cells
-    repeat those of an earlier row."""
-    seen = set()
-
-    def check(row: list) -> Optional[str]:
-        key = tuple(row[:width])
-        if key in seen:
-            return f"{what} {' -> '.join(map(repr, key))} appears twice"
-        seen.add(key)
-        return None
-
-    return check
-
-
-def _raise_at_first_fault(path: str, header: list[str], check) -> NoReturn:
-    """Read a table whose row count did not add up once more, now with a
-    check that finds the faulty row, and raise its MalformedRecordError."""
-    for _row in read_table(path, header, (), check):
-        pass
-    raise MalformedRecordError(f"{path} changed while it was read")

@@ -5,18 +5,18 @@ sibling that is renamed onto the target only once complete. A table is
 a header row plus data rows in the csv module's default dialect; a
 reader converts the integer columns it names, which must hold
 non-negative decimal integers, and raises MalformedRecordError naming
-the file and the 1-based line of every fault.
+the file and the 1-based line of every fault it finds. It yields each
+row with its line, so the loader that uses a row can reject it the
+same way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
-import operator
 import os
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import MalformedRecordError
 
@@ -67,25 +67,14 @@ def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def sorted_items(mapping: Mapping) -> Iterable[tuple]:
-    """The items of mapping in ascending key order. A mapping built in
-    that order costs one linear check instead of a sort."""
-    if all(map(operator.lt, mapping, itertools.islice(mapping, 1, None))):
-        return mapping.items()
-    return sorted(mapping.items())
-
-
 def read_table(
-    path: str,
-    header: Sequence[str],
-    ints: Sequence[str] = (),
-    check: Optional[Callable[[list], Optional[str]]] = None,
-) -> Iterator[list]:
-    """Yield the data rows of a CSV file that starts with exactly header.
+    path: str, header: Sequence[str], ints: Sequence[str] = ()
+) -> Iterator[tuple[int, list]]:
+    """Yield (line, row) for each data row of a CSV file that starts with
+    exactly header; line is the row's 1-based line in the file.
 
     Every row must be as wide as the header. The columns named in ints
-    are converted to int in place. check, when given, sees each
-    converted row and returns the reason to reject it, or None.
+    are converted to int in place.
     """
     header = list(header)
     width = len(header)
@@ -119,11 +108,7 @@ def read_table(
                             path,
                         )
                     row[i] = int(cell)
-                if check is not None:
-                    reason = check(row)
-                    if reason is not None:
-                        raise MalformedRecordError(reason, reader.line_num, path)
-                yield row
+                yield reader.line_num, row
         except csv.Error as exc:
             raise MalformedRecordError(str(exc), reader.line_num + 1, path) from None
         except UnicodeDecodeError as exc:

@@ -266,6 +266,10 @@ class TestMalformedFiles:
                      id="edge_to_unknown_account"),
         pytest.param("a\nb\nb\n", ["b,c,1,1"], "nodes.csv:4:",
                      id="repeat_hides_missing_account"),
+        pytest.param("a\nb\nc\n", ["a,b,1,1", "b,c,1,1", "c,a,0,1"], "edges.csv:3:",
+                     id="repeated_edge_before_zero_flux"),
+        pytest.param("a\nb\nc\n", ["c,ghost,1,1", "b,c,0,1"], "edges.csv:3:",
+                     id="unknown_account_before_zero_flux"),
     ])
     def test_stats_on_inconsistent_graph(self, tmp_path, capsys, nodes, edge_rows, where):
         graph = write_graph(tmp_path / "graph", edge_rows)
@@ -332,6 +336,33 @@ class TestMalformedFiles:
         assert "Traceback" not in err and not out.exists()
         # without --clusters there is nothing to check the colors against
         assert cli.main(argv + ["--output", str(tmp_path / "unlabeled")]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("with_coloring", [
+        pytest.param(True, id="coloring"), pytest.param(False, id="all_users"),
+    ])
+    def test_contract_rejects_a_cluster_that_colors_no_account(self, tmp_path, ledger, capsys,
+                                                               with_coloring):
+        root, path, _ = ledger
+        run = tmp_path / "run"
+        labels = os.path.join(str(root), "labels.csv")
+        assert run_pipeline(path, run, labels=labels) == cli.EXIT_OK
+        coloring, clusters = run / "coloring.csv", run / "clusters.csv"
+        argv = ["contract", "--graph", str(run / "graph"), "--clusters", str(clusters)]
+        if with_coloring:
+            # a cluster whose id no account has, listing a user account
+            rows = coloring.read_text().splitlines()[1:]
+            user = next(row.split(",")[0] for row in rows if row.endswith(",0"))
+            clusters.write_text(clusters.read_text() + f"9,gamma,{user},main\n")
+            argv += ["--coloring", str(coloring)]
+            where, cid = str(coloring), 9
+        else:
+            # every account is a user, so no cluster id is a color
+            where, cid = str(run / "graph"), 1
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output", str(out), "--quiet"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{clusters}: cluster {cid} colors no account in {where}" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("damage, where", [
         pytest.param(lambda nodes, edges: edges.write_text(
@@ -852,6 +883,23 @@ class TestConfigPrecedence:
                          "--config", str(cfg), "--quiet"])
         assert code == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["exchange_clusters"] == 2
+
+    @pytest.mark.parametrize("block, flags, clusters", [
+        pytest.param({}, [], 2, id="default"),
+        pytest.param({"detect": False}, [], 0, id="config_off"),
+        pytest.param({"detect": True}, ["--no-detect"], 0, id="flag_over_config"),
+    ])
+    def test_run_detect_precedence(self, tmp_path, ledger, capsys, block, flags, clusters):
+        _, path, _ = ledger
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({"run": block}))
+        code = cli.main(["run", "--input", path, "--output", str(tmp_path / "out"),
+                         "--config", str(cfg), "--quiet"] + flags)
+        assert code == cli.EXIT_OK
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted["exchange_clusters"] == clusters
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["options"]["detect"] is (clusters > 0)
 
     def test_run_block_enables_verify(self, tmp_path, ledger, capsys):
         _, path, _ = ledger

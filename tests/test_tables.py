@@ -1,10 +1,11 @@
-"""The artifact writer: a file appears complete or not at all."""
+"""The artifact writer: a file appears complete or not at all. The table
+reader: each row comes with its line."""
 
 import os
 
 import pytest
 
-from fluxgraph.tables import atomic_output, write_json, write_table
+from fluxgraph.tables import atomic_output, read_table, write_json, write_table
 
 
 def rows_then(exc, n=20_000):
@@ -57,3 +58,11 @@ def test_completed_write_replaces_target(tmp_path):
     write_json(str(target), {"b": 1, "a": [1, 2]})
     assert target.read_bytes() == b'{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_read_table_yields_each_row_with_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('name,n\na,1\n"b\nc",22\nd,3\n')
+    rows = list(read_table(str(path), ["name", "n"], ("n",)))
+    # a quoted cell spanning lines puts its row on the line where it ends
+    assert rows == [(2, ["a", 1]), (4, ["b\nc", 22]), (5, ["d", 3])]
