@@ -18,11 +18,11 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import logging
 import marshal
 import os
-import signal
 import sys
 import time
 
@@ -38,9 +38,10 @@ from .analytics import (
     check_conservation,
     save_report,
 )
-# canonical_form, load_contracted and transfer_line are not called here, but
-# stay importable from this module: bench/spans.py wraps the layer functions
-# by these names
+from .children import Child, read_frame, write_frame
+# canonical_form, ingest, load_contracted, read_transfers, transfer_line
+# and write_transfers are not called here, but stay importable from this
+# module: bench/spans.py wraps the layer functions by these names
 from .contraction import (
     CONTRACTED_NODES_FILE,
     canonical_form,
@@ -49,7 +50,7 @@ from .contraction import (
     save_contracted,
     load_contracted,
     load_quotient,
-    quotient_rows,
+    quotient_frames,
     verify_contraction,
 )
 from .errors import (
@@ -75,14 +76,23 @@ from .exchanges import (
 from .graph import (
     AggregatedGraph,
     GraphStats,
-    build_graph,
     degree_centrality_ranking,
+    fold_rows,
     graph_stats,
     load_graph,
     save_graph,
 )
-from .records import IngestSummary, ingest, read_transfers, transfer_line, write_transfers
-from .tables import write_json
+from .records import (
+    IngestSummary,
+    ingest,
+    ingest_blocks,
+    read_transfers,
+    transfer_line,
+    transfer_rows,
+    transfer_text,
+    write_transfers,
+)
+from .tables import HeldOutput, atomic_output, write_json
 from . import synth as synthmod
 
 log = logging.getLogger("fluxgraph")
@@ -204,23 +214,82 @@ def _timed(timings: dict, key: str):
 # by run (inputs it already holds) --------------------------------------
 
 
-def _ingest(source: str, opts: dict, consume):
-    """Filter the ledger at source, handing its kept transfers, as one
-    iterator, to consume. Returns consume's result and the ingest counts,
-    complete once consume has drained the iterator."""
+def _ingest(source: str, opts: dict, render, consume, timings: dict | None = None):
+    """Filter the ledger at source, handing consume one iterator over
+    render's result for each part of it, in file order (see
+    records.ingest_blocks). Returns consume's result and the ingest
+    counts. With timings, the wait for a child that parsed part of the
+    ledger is logged there as wait_ingest."""
     summary = IngestSummary()
-    with open(source, "r", encoding="utf-8") as src:
-        result = consume(ingest(src, start_block=opts["start_block"],
-                                on_error=opts["on_error"], summary=summary))
+    waited = None
+    if timings is not None:
+        waited = functools.partial(_log_stage, timings, "wait_ingest", children=True)
+    result = consume(ingest_blocks(source, render, opts["start_block"], opts["on_error"],
+                                   summary, waited))
     log.info("ingest: kept %d of %d records", summary.kept, summary.parsed)
     return result, summary
 
 
-def _save_graph(graph: AggregatedGraph, directory: str) -> GraphStats:
-    save_graph(graph, directory)
+def _fold(blocks) -> AggregatedGraph:
+    """The graph of the transfer_rows of each block."""
+    return fold_rows(itertools.chain.from_iterable(blocks))
+
+
+def _write_text(path: str, blocks) -> None:
+    with atomic_output(path) as fh:
+        fh.writelines(blocks)
+
+
+def _built(graph: AggregatedGraph) -> GraphStats:
     stats = graph_stats(graph)
     log.info("build: %d accounts, %d aggregated edges", stats.order, stats.aggregated_size)
     return stats
+
+
+class _Writer:
+    """save_graph in a forked child while the caller goes on; wait()
+    waits for it. The child sends its own seconds through a pipe and
+    leaves by os._exit. A child that failed or sent nothing is run again
+    here, so that its genuine exception surfaces; where the process
+    cannot fork, the graph is saved here at once. Used as a context
+    manager, which waits for the child on every path and never kills it,
+    so that it leaves no temporary file."""
+
+    def __init__(self, graph: AggregatedGraph, directory: str, timings: dict):
+        self._graph, self._directory, self._timings = graph, directory, timings
+        self._child = Child.start(self._work)
+        if self._child is None:
+            self._inline()
+
+    def _work(self, pipe) -> None:
+        t0 = time.perf_counter()
+        save_graph(self._graph, self._directory)
+        write_frame(pipe, marshal.dumps(time.perf_counter() - t0))
+
+    def _inline(self) -> None:
+        with _timed(self._timings, "save_graph"):
+            save_graph(self._graph, self._directory)
+
+    def wait(self) -> None:
+        child, self._child = self._child, None
+        if child is None:
+            return
+        t0 = time.perf_counter()
+        data = read_frame(child.pipe)
+        status = child.wait()
+        _log_stage(self._timings, "wait_save_graph", time.perf_counter() - t0, children=True)
+        if status == 0 and data is not None:
+            _log_stage(self._timings, "save_graph", marshal.loads(data), children=True)
+            return
+        log.debug("save_graph: the writer's child exited with %d; running it here", status)
+        self._inline()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._child is not None:
+            self._child.wait()
 
 
 def _detection_summary(clusters) -> dict:
@@ -251,112 +320,119 @@ def _save_detection(clusters, coloring: Coloring | None, clusters_path: str,
 
 
 class _Oracle:
-    """The --verify oracle's contraction, in quotient_rows form.
+    """The --verify oracle's contraction, as quotient frames.
 
     Where the process may fork, the oracle runs in a forked child while
-    the caller goes on, and rows() waits for it; elsewhere it runs here,
-    at once. The child only computes: it sends its rows and its own
-    seconds through a pipe and leaves by os._exit. A child that failed
-    or sent nothing is run again here, so that its genuine exception
-    surfaces. Used as a context manager, which reaps
-    the child on every path, killing it first if the caller raised.
+    the caller goes on, and frames() yields what it sends as it arrives;
+    elsewhere it runs here, at once. The child only computes: it sends
+    its frames, then its own seconds, through a pipe and leaves by
+    os._exit. Where the child failed or stopped sending, the frames it
+    did not send are worked out here, so that its genuine exception
+    surfaces. Used as a context manager, which reaps the child on every
+    path, killing it first if the caller raised.
     """
 
     def __init__(self, graph: AggregatedGraph, coloring: Coloring, timings: dict):
         self._graph, self._coloring, self._timings = graph, coloring, timings
-        self._pid = None
-        self._rows = None
-        if hasattr(os, "fork"):
-            self._fork()
-        if self._pid is None:
-            self._rows = self._inline()
+        self._frames = None
+        self._child = Child.start(self._work)
+        if self._child is None:
+            self._frames = self._inline()
 
-    def _work(self):
+    def _inline(self) -> list:
         t0 = time.perf_counter()
-        rows = quotient_rows(self._graph.names, *oracle_contract(self._graph, self._coloring))
-        return rows, time.perf_counter() - t0
+        frames = list(quotient_frames(self._graph.names,
+                                      *oracle_contract(self._graph, self._coloring)))
+        _log_stage(self._timings, "verify", time.perf_counter() - t0)
+        return frames
 
-    def _inline(self):
-        rows, seconds = self._work()
-        _log_stage(self._timings, "verify", seconds)
-        return rows
+    def _work(self, pipe) -> None:
+        seconds = 0.0
+        t0 = time.perf_counter()
+        for frame in quotient_frames(self._graph.names,
+                                     *oracle_contract(self._graph, self._coloring)):
+            data = marshal.dumps(frame)
+            seconds += time.perf_counter() - t0
+            write_frame(pipe, data)  # waits while the parent is busy
+            t0 = time.perf_counter()
+        write_frame(pipe, marshal.dumps(seconds + time.perf_counter() - t0))
 
-    def _fork(self) -> None:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: run inline
-            os.close(read_fd)
-            os.close(write_fd)
+    def frames(self):
+        """The oracle's frames, handed over as they arrive: this object
+        keeps no reference."""
+        if self._child is None:
+            frames, self._frames = self._frames, None
+            yield from frames
             return
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as pipe:
-                    marshal.dump(self._work(), pipe)
-                status = 0
-            finally:
-                # skip the parent's cleanup and buffered output, whatever happened
-                os._exit(status)
-        os.close(write_fd)
-        self._pid, self._pipe = pid, open(read_fd, "rb")
-
-    def _reap(self) -> int:
-        pid, self._pid = self._pid, None
-        self._pipe.close()
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-    def rows(self):
-        """The oracle's rows, handed over: this object keeps no reference."""
-        if self._pid is not None:
-            data = self._pipe.read()
-            status = self._reap()
-            if status == 0:
-                rows, seconds = marshal.loads(data)
-                _log_stage(self._timings, "verify", seconds, children=True)
-                return rows
-            log.debug("verify: the oracle's child exited with %d; running it here", status)
-            return self._inline()
-        rows, self._rows = self._rows, None
-        return rows
+        sent = 0
+        waiting = 0.0
+        while True:
+            t0 = time.perf_counter()
+            data = read_frame(self._child.pipe)
+            waiting += time.perf_counter() - t0
+            item = None if data is None else marshal.loads(data)
+            if type(item) is not tuple:
+                break
+            yield item
+            sent += 1
+        status = self._child.wait()
+        self._child = None
+        _log_stage(self._timings, "wait_verify", waiting, children=True)
+        if status == 0 and type(item) is float:
+            _log_stage(self._timings, "verify", item, children=True)
+            return
+        log.debug("verify: the oracle's child exited with %d; running it here", status)
+        yield from itertools.islice(self._inline(), sent, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
+        if self._child is not None:
+            self._child.kill()
 
 
 def _verify(oracle: _Oracle, graph: AggregatedGraph, contracted, assignment) -> None:
-    """Cross-check a contraction against the independent implementation's."""
+    """Cross-check a contraction against the independent implementation's,
+    one frame at a time as the oracle's arrive."""
     if not verify_contraction(contracted):
         raise VerificationError("contracted graph is not properly colored")
-    # built before waiting for the oracle, which may still be working
-    rows = quotient_rows(graph.names, contracted, assignment)
-    # both routes number clusters alike, so equal quotients have equal ids
-    if rows != oracle.rows():
-        raise VerificationError("independent contraction produced a different quotient graph")
+    theirs = oracle.frames()
+    # both routes number clusters alike, so equal quotients have equal frames
+    for frame in quotient_frames(graph.names, contracted, assignment):
+        if frame != next(theirs, None):
+            break
+    else:
+        if next(theirs, None) is None:
+            return
+    raise VerificationError("independent contraction produced a different quotient graph")
 
 
 def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, directory: str,
-              labels: dict[int, str], timings: dict, meanwhile=None, **meta):
-    """Contract, cross-check when verify, and save the quotient with meta
-    in meta.json. meanwhile, when given, is called first, while the
-    oracle works in its child."""
+              labels: dict[int, str], timings: dict, meanwhile=None, with_quotient=None,
+              **meta):
+    """Contract, save the quotient with meta in meta.json, and cross-check
+    it when verify. meanwhile, when given, is called first, while the
+    oracle works in its child. The quotient is written next, while the
+    oracle may still work, and so is whatever with_quotient(contracted,
+    stage) writes into the directories stage(directory) gives; all of it
+    appears only once the check has passed (see tables.HeldOutput)."""
+    meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
+                verified=verify)
     with _Oracle(graph, coloring, timings) if verify else contextlib.nullcontext() as oracle:
         if meanwhile is not None:
             meanwhile()
-        with _timed(timings, "contract"):
-            contracted, assignment = contract(graph, coloring)
+        with HeldOutput() as held:
+            with _timed(timings, "contract"):
+                contracted, assignment = contract(graph, coloring)
+            with _timed(timings, "save_contracted"):
+                save_contracted(contracted, assignment, held.stage(directory), labels=labels,
+                                meta=meta)
+            if with_quotient is not None:
+                with_quotient(contracted, held.stage)
             if verify:
-                _verify(oracle, graph, contracted, assignment)
-    meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
-                verified=verify)
-    with _timed(timings, "save_contracted"):
-        save_contracted(contracted, assignment, directory, labels=labels, meta=meta)
+                with _timed(timings, "verdict"):
+                    _verify(oracle, graph, contracted, assignment)
     log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
     return contracted
 
@@ -373,8 +449,8 @@ def _analyze(before: GraphStats, contracted, clusters, cuts, directory: str,
 
 def cmd_ingest(args, config: dict) -> int:
     t0 = time.perf_counter()
-    _count, summary = _ingest(args.input, _ingest_options(args, config),
-                              functools.partial(write_transfers, args.output))
+    summary = _ingest(args.input, _ingest_options(args, config), transfer_text,
+                      functools.partial(_write_text, args.output))[1]
     _emit(dict(summary.as_dict(), output=args.output,
                elapsed_s=round(time.perf_counter() - t0, 3)))
     return EXIT_OK
@@ -382,7 +458,9 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_build(args, config: dict) -> int:
     t0 = time.perf_counter()
-    stats = _save_graph(build_graph(read_transfers(args.input)), args.output)
+    graph = _fold(ingest_blocks(args.input, transfer_rows))
+    save_graph(graph, args.output)
+    stats = _built(graph)
     _emit(dict(stats.as_dict(), output=args.output,
                elapsed_s=round(time.perf_counter() - t0, 3)))
     return EXIT_OK
@@ -567,23 +645,27 @@ def cmd_run(args, config: dict) -> int:
     total0 = time.perf_counter()
 
     with _timed(timings, "ingest_and_build"):
-        graph, summary = _ingest(args.input, ingest_opts, build_graph)
-    with _timed(timings, "detect"):
-        clusters, coloring = _detect(graph, params, labels, coloring=True)
+        graph, summary = _ingest(args.input, ingest_opts, transfer_rows, _fold, timings)
+    before = _built(graph)
+    graph.name_order()  # worked out once, for the writer and for contract()
+    with _Writer(graph, out(GRAPH_DIR), timings) as writer:
+        with _timed(timings, "detect"):
+            clusters, coloring = _detect(graph, params, labels, coloring=True)
+        cluster_labels = {c.cluster_id: c.label for c in clusters}
 
-    def save_inputs():  # written while the --verify oracle works
-        with _timed(timings, "save_graph"):
-            _save_graph(graph, out(GRAPH_DIR))
-        with _timed(timings, "save_detection"):
-            _save_detection(clusters, coloring, out(CLUSTERS_FILE), out(COLORING_FILE))
+        def save_detection():  # while the --verify oracle works
+            with _timed(timings, "save_detection"):
+                _save_detection(clusters, coloring, out(CLUSTERS_FILE), out(COLORING_FILE))
 
-    cluster_labels = {c.cluster_id: c.label for c in clusters}
-    contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
-                           timings, meanwhile=save_inputs, detect=detect_enabled,
-                           params=params_dict)
-    before = graph_stats(graph)
-    with _timed(timings, "analyze"):
-        _analyze(before, contracted, clusters, cuts, out(REPORT_DIR), cluster_labels)
+        def report(contracted, stage):  # appears with the quotient, once graph/ is written
+            with _timed(timings, "analyze"):
+                _analyze(before, contracted, clusters, cuts, stage(out(REPORT_DIR)),
+                         cluster_labels)
+            writer.wait()
+
+        contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
+                               timings, meanwhile=save_detection, with_quotient=report,
+                               detect=detect_enabled, params=params_dict)
 
     manifest = {
         "tool": "fluxgraph",

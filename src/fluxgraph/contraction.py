@@ -19,7 +19,8 @@ deliberately naive. Both feed the same deterministic numbering rule, so
 equal quotients get equal ids. canonical_form() keys clusters by their
 sorted member sets so outputs can be compared across processing orders,
 byte for byte; quotient_rows() is an exact, marshal-able form of one
-contraction, which --verify compares across processes.
+contraction, and quotient_frames() the same in bounded pieces, which
+--verify compares across processes as they arrive.
 
 Accounting is conserved exactly: member counts sum to the original
 order, intra plus cross transfer counts to the original transaction
@@ -32,7 +33,7 @@ import json
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     ConfigError,
@@ -327,16 +328,44 @@ def quotient_rows(
     id of each of names as array('q') bytes. Two contractions of one
     graph are equal iff their forms are. Raises VerificationError when
     the assignment covers a different number of accounts than names."""
+    return tuple(_quotient_sections(names, contracted, assignment))
+
+
+def _quotient_sections(
+    names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
+) -> Iterator:
+    """quotient_rows' three parts, each built once the last is let go."""
     if len(assignment) != len(names):
         raise VerificationError(f"cluster assignment covers {len(assignment)} accounts, "
                                 f"not the graph's {len(names)}")
-    nodes = sorted(
+    yield sorted(
         (cid, n.cluster_id, n.color, n.member_count, n.intra_flux, n.intra_tx_count)
         for cid, n in contracted.nodes.items()
     )
-    edges = sorted((src, dst, agg.flux, agg.multiplicity)
-                   for (src, dst), agg in contracted.edges.items())
-    return nodes, edges, array("q", map(assignment.__getitem__, names)).tobytes()
+    yield sorted((src, dst, agg.flux, agg.multiplicity)
+                 for (src, dst), agg in contracted.edges.items())
+    yield array("q", map(assignment.__getitem__, names)).tobytes()
+
+
+# Rows per frame of quotient_frames; an assignment frame holds the cluster
+# ids of as many accounts.
+FRAME_ROWS = 1 << 12
+_FRAME_SECTIONS = ("nodes", "edges", "assignment")
+
+
+def quotient_frames(
+    names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
+) -> Iterator[tuple[str, object]]:
+    """quotient_rows(names, contracted, assignment) in bounded, marshal-able
+    frames, each part built only when the last has been sent: ("nodes",
+    up to FRAME_ROWS node rows)..., then the edge rows as "edges", then
+    the assignment bytes as "assignment". Two contractions of one graph
+    give equal frame sequences iff they give equal rows."""
+    parts = _quotient_sections(names, contracted, assignment)
+    for section, part in zip(_FRAME_SECTIONS, parts):
+        step = FRAME_ROWS * (8 if section == "assignment" else 1)
+        for start in range(0, len(part), step):
+            yield section, part[start:start + step]
 
 
 _CANONICAL_HEADER = b"contracted-v1"
@@ -527,13 +556,21 @@ def load_contracted(
     directory: str,
 ) -> tuple[ContractedGraph, ClusterAssignment, dict, dict[int, str]]:
     """Read back a directory written by save_contracted. Returns the
-    graph, the assignment, the meta dict and the cluster label map."""
+    graph, the assignment, the meta dict and the cluster label map. A
+    repeated address, or a cluster that nodes.csv lacks, is a malformed
+    row of assignment.csv."""
     contracted, meta, labels = load_quotient(directory)
-    assignment: ClusterAssignment = {
-        account: cid for _line, (account, cid) in read_table(
-            os.path.join(directory, ASSIGNMENT_FILE), _ASSIGNMENT_HEADER, ("cluster_id",)
-        )
-    }
+    nodes = contracted.nodes
+    path = os.path.join(directory, ASSIGNMENT_FILE)
+    assignment: ClusterAssignment = {}
+    for line, (account, cid) in read_table(path, _ASSIGNMENT_HEADER, ("cluster_id",)):
+        if account in assignment:
+            raise MalformedRecordError(f"address {account!r} appears twice", line, path)
+        if cid not in nodes:
+            raise MalformedRecordError(
+                f"cluster {cid} is not in {CONTRACTED_NODES_FILE}", line, path
+            )
+        assignment[account] = cid
     return contracted, assignment, meta, labels
 
 

@@ -330,9 +330,14 @@ class _AccountItems(ItemsView):
 
 def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
     """Aggregate a transfer stream; the result is independent of input order."""
+    return fold_rows((t.sender, t.recipient, t.amount_planck) for t in transfers)
+
+
+def fold_rows(rows: Iterable[tuple[str, str, int]]) -> AggregatedGraph:
+    """build_graph over (sender, recipient, amount) rows."""
     g = AggregatedGraph()
-    for t in transfers:
-        g.add_transfer(t.sender, t.recipient, t.amount_planck)
+    for row in rows:
+        g.add_transfer(*row)
     g.compact()
     return g
 

@@ -11,17 +11,31 @@ fields are ignored so richer exports can be fed in unchanged.
 Only successful, signed balance transfers survive filtering; everything
 else (staking, governance, failed or unsigned calls, zero amounts) is
 dropped and counted by reason. All amounts stay integer Planck end to end.
+
+ingest_blocks reads a ledger file in line-aligned blocks, parsed by
+two processes where the ledger spans at least two blocks; it yields
+what the caller needs of each block's transfers, in file order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import marshal
+import mmap
+import os
 import re
-from dataclasses import asdict, dataclass
+import select
+import struct
+import time
+from dataclasses import astuple, asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
+from .children import Child, read_frame, write_frame
 from .errors import ConfigError, MalformedRecordError, MissingFieldError
 from .tables import atomic_output
 
@@ -82,6 +96,11 @@ class IngestSummary:
 
     def as_dict(self) -> dict:
         return dict(asdict(self), dropped=self.dropped)
+
+    def add(self, counts: tuple) -> None:
+        """Add the counts of another summary, as astuple gives them."""
+        for field, count in zip(fields(self), counts):
+            setattr(self, field.name, getattr(self, field.name) + count)
 
 
 def is_transfer_call(module_id: str, call_id: str) -> bool:
@@ -371,3 +390,204 @@ def read_transfers(path: str) -> Iterator[TransferRecord]:
     file containing only kept transfers)."""
     with open(path, "r", encoding="utf-8") as fh:
         yield from ingest(fh)
+
+
+def transfer_rows(transfers: Iterable[TransferRecord]) -> list[tuple[str, str, int]]:
+    """(sender, recipient, amount) of each transfer: what a graph folds."""
+    return [(t.sender, t.recipient, t.amount_planck) for t in transfers]
+
+
+def transfer_text(transfers: Iterable[TransferRecord]) -> str:
+    """The transfers as write_transfers writes them."""
+    return "".join([transfer_line(t) + "\n" for t in transfers])
+
+
+# -- one ledger file, parsed in blocks by two processes -----------------
+
+# A ledger is cut into blocks of at least this many bytes, each ending
+# after a newline; one of at least two blocks is parsed by two processes.
+BLOCK_BYTES = 1 << 20
+
+# How much of the child's results may wait in its pipe, unread, where
+# the system allows (Linux's fs/pipe-max-size is 1 MiB by default); the
+# child waits while the pipe is full.
+_PIPE_BYTES = 1 << 20
+
+
+def ingest_blocks(
+    path: str,
+    render: Callable[[Iterator[TransferRecord]], object],
+    start_block: int = 0,
+    on_error: str = "fail",
+    summary: IngestSummary | None = None,
+    waited: Callable[[float], None] | None = None,
+) -> Iterator:
+    """Yield render(kept transfers) for each block of the ledger file at
+    path (see BLOCK_BYTES), in file order. render must return a
+    marshal-able value.
+
+    The transfers, the counts in summary (complete once iteration
+    finishes) and the first exception are those of ingest() over the
+    file opened as UTF-8 text with universal newlines.
+
+    Each block is decoded and filtered as a file of its own. Where there
+    are at least two, a forked child parses some: this process takes
+    block 0 and the child block 1, then each claims the next unclaimed
+    block whenever it is free, so the split balances itself. The child
+    sends each result as soon as it is parsed, and waits while its pipe
+    is full (see _PIPE_BYTES); waited, when given, gets the seconds spent
+    waiting for the child's results. Where a block raises, the whole
+    file is read again here, so that ingest()'s own exception surfaces.
+    Where os.fork is missing or fails, this process parses every block.
+    """
+    if on_error not in ("fail", "skip"):
+        raise ConfigError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
+    s = summary if summary is not None else IngestSummary()
+    parse = functools.partial(_parse_block, render=render, start_block=start_block,
+                              on_error=on_error)
+    with open(path, "rb") as fh:
+        with contextlib.closing(_parsed(fh.fileno(), _blocks(fh), parse, waited)) as results:
+            for result in results:
+                if result is None:
+                    break
+                s.add(result[0])
+                yield result[1]
+            else:
+                return
+    _raise_first_error(path, start_block, on_error)
+
+
+def _blocks(fh) -> list[tuple[int, int]]:
+    """(start, end) byte offsets cutting the binary file fh into blocks of
+    at least BLOCK_BYTES, each ending after a newline, but the last."""
+    size = os.fstat(fh.fileno()).st_size
+    starts = [0]
+    while starts[-1] + BLOCK_BYTES < size:
+        fh.seek(starts[-1] + BLOCK_BYTES - 1)
+        fh.readline()
+        if fh.tell() >= size:
+            break
+        starts.append(fh.tell())
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _parse_block(fd: int, start: int, end: int, render, start_block: int, on_error: str):
+    """(counts, rendered) of the bytes start:end of the file fd, read as a
+    ledger of their own, or None where ingest() raised over them."""
+    counts = IngestSummary()
+    data = io.BytesIO(os.pread(fd, end - start, start))
+    with io.TextIOWrapper(data, encoding="utf-8") as text:
+        try:
+            rendered = render(ingest(text, start_block, on_error, counts))
+        except MalformedRecordError:
+            return None
+    return astuple(counts), rendered
+
+
+def _raise_first_error(path: str, start_block: int, on_error: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        for _ in ingest(fh, start_block, on_error):
+            pass
+    raise RuntimeError(f"{path}: a block raised where the whole ledger did not")
+
+
+def _parsed(fd: int, blocks, parse, waited) -> Iterator:
+    """parse(fd, *block) of each block, in order, by this process and,
+    where there are two blocks or more, a forked child."""
+    claims = _Claims(len(blocks))
+    child = None
+    try:
+        mine = claims.take()
+        if len(blocks) >= 2:
+            child = Child.start(functools.partial(
+                _claim_blocks, claims, claims.take(), fd, blocks, parse, os.getpid()),
+                _PIPE_BYTES)
+        running = child.running if child is not None else (lambda: False)
+        sending = child is not None
+        waiting = 0.0
+        done = 0  # blocks yielded
+        while True:
+            result = None if mine is None else parse(fd, *blocks[mine])
+            # the blocks before this process's next are the child's
+            for i in range(done, len(blocks) if mine is None else mine):
+                t0 = time.perf_counter()
+                data = read_frame(child.pipe) if sending else None
+                waiting += time.perf_counter() - t0
+                # a child that stopped sending leaves its blocks to this process
+                sending = data is not None
+                yield marshal.loads(data) if sending else parse(fd, *blocks[i])
+            if mine is None:
+                break
+            yield result
+            done = mine + 1
+            mine = claims.take(running)
+    finally:
+        if child is not None:
+            # a child still parsing meets a closed pipe at its next send
+            child.wait()
+        claims.close()
+    if waited is not None and child is not None:
+        waited(waiting)
+
+
+def _claim_blocks(claims: "_Claims", first: int, fd: int, blocks, parse, parent: int,
+                  pipe) -> None:
+    """The child's part: parse block first, then claim blocks in turn,
+    sending each result as soon as it is parsed. Stops at a block that
+    raised, and when the parent has gone."""
+    def parent_alive() -> bool:
+        return os.getppid() == parent
+
+    i = first
+    while i is not None:
+        result = parse(fd, *blocks[i])
+        write_frame(pipe, marshal.dumps(result))
+        if result is None or not parent_alive():
+            break
+        i = claims.take(parent_alive)
+
+
+_COUNTER = struct.Struct("q")
+
+
+class _Claims:
+    """Block indices 0..count-1, claimed in order by two processes. The
+    next index lives in an anonymous shared mmap, guarded by one token in
+    a pipe."""
+
+    def __init__(self, count: int):
+        self._count = count
+        self._next = mmap.mmap(-1, _COUNTER.size)
+        self._token_r, self._token_w = os.pipe()
+        os.set_blocking(self._token_r, False)
+        os.write(self._token_w, b".")
+
+    def _lock(self, other_alive: Callable[[], bool]) -> bool:
+        """Take the token; False, without it, once the other process has gone."""
+        while True:
+            try:
+                os.read(self._token_r, 1)
+                return True
+            except BlockingIOError:
+                if not other_alive():
+                    return False
+                select.select([self._token_r], [], [], 0.05)
+
+    def take(self, other_alive: Callable[[], bool] = lambda: False) -> Optional[int]:
+        """Claim the next block; None when none is left. Once the other
+        process has gone, goes on without the token."""
+        locked = self._lock(other_alive)
+        try:
+            i = _COUNTER.unpack_from(self._next)[0]
+            if i >= self._count:
+                return None
+            _COUNTER.pack_into(self._next, 0, i + 1)
+            return i
+        finally:
+            if locked:
+                os.write(self._token_w, b".")
+
+    def close(self) -> None:
+        self._next.close()
+        os.close(self._token_r)
+        os.close(self._token_w)

@@ -1,7 +1,8 @@
 """Output files and CSV tables: the one place that writes a file.
 
 atomic_output writes UTF-8 without newline translation into a hidden
-sibling that is renamed onto the target only once complete. A table is
+sibling that is renamed onto the target only once complete; HeldOutput
+holds back whole directories of such files until a later moment. A table is
 a header row plus data rows in the csv module's default dialect; a
 reader converts the integer columns it names, which must hold
 non-negative decimal integers, and raises MalformedRecordError naming
@@ -16,6 +17,8 @@ import contextlib
 import csv
 import json
 import os
+import shutil
+import tempfile
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import MalformedRecordError
@@ -46,6 +49,56 @@ def atomic_output(path: str) -> Iterator[TextIO]:
         if isinstance(exc, OSError) and exc.filename == tmp:
             raise _naming(exc, path) from None
         raise
+
+
+class HeldOutput:
+    """Directories whose files appear only once the held block completes.
+
+    stage(directory) makes a hidden directory inside directory to write
+    its files into. When the block completes, each of those files moves
+    onto its place beside it; when the block raises, they are deleted,
+    and so are the directories stage() made. Either way no staging
+    directory is left, and a directory the block did not complete keeps
+    the files it had.
+    """
+
+    def __init__(self):
+        self._stages: list[tuple[str, str]] = []
+        self._made: list[str] = []
+
+    def stage(self, directory: str) -> str:
+        head = os.path.normpath(directory)
+        while head and not os.path.isdir(head):
+            self._made.append(head)
+            head = os.path.dirname(head)
+        try:
+            os.makedirs(directory, exist_ok=True)
+            stage = tempfile.mkdtemp(prefix=".stage.", suffix=".tmp", dir=directory)
+        except OSError as exc:
+            raise _naming(exc, directory) from None
+        self._stages.append((stage, directory))
+        return stage
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        stages, self._stages = self._stages, []
+        made, self._made = self._made, []
+        published = False
+        try:
+            if exc_type is None:
+                for stage, directory in stages:
+                    for name in sorted(os.listdir(stage)):
+                        os.replace(os.path.join(stage, name), os.path.join(directory, name))
+                published = True
+        finally:
+            for stage, _directory in stages:
+                shutil.rmtree(stage, ignore_errors=True)
+            if not published:
+                for directory in sorted(made, key=len, reverse=True):  # deepest first
+                    with contextlib.suppress(OSError):  # only if empty
+                        os.rmdir(directory)
 
 
 def _naming(exc: OSError, path: str) -> OSError:

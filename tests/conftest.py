@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+import os
 import random
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 from fluxgraph.exchanges import Coloring
@@ -11,6 +13,12 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+def assert_no_child() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- lookups by account name, which the pipeline itself does not need ----

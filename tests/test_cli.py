@@ -4,10 +4,12 @@ import dataclasses
 import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -798,7 +800,8 @@ class TestVerifyChild:
                              str(staged / "coloring.csv"), "--output", str(out),
                              "--verify", "--quiet"])
         assert code == cli.EXIT_OK
-        assert threads == [1]
+        # run forks the graph writer and the oracle, contract the oracle
+        assert threads == ([1, 1] if command == "run" else [1])
         assert_no_child()
 
     @pytest.mark.parametrize("command", ["run", "contract"])
@@ -847,6 +850,71 @@ class TestVerifyChild:
         assert run_pipeline(path, out, extra=["--verify"]) == cli.EXIT_IO
         assert "graph" in capsys.readouterr().err
         assert_no_child()
+
+
+# How long a child of run --verify outlives a parent killed with SIGKILL:
+# the ingest child finishes the block it parses, the writer its
+# save_graph and the oracle its contraction (README). Over this module's
+# ledger each takes well under a second.
+CHILD_BOUND_S = 10.0
+
+
+def session_processes(session: int) -> list[int]:
+    """The live (not zombie) processes of a session, from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:  # gone meanwhile
+                continue
+            if int(fields[3]) == session and fields[0] not in "ZX":
+                pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")),
+                    reason="needs os.fork and /proc")
+def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger):
+    """SIGKILL run --verify, over a ledger of many blocks, at random
+    moments: within CHILD_BOUND_S no process of its session is left, and
+    its output either has no manifest.json or is complete."""
+    root, path, _ = ledger
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+    def start(out):
+        code = ("import sys; from fluxgraph import cli, records; "
+                "records.BLOCK_BYTES = 1 << 14; "
+                f"sys.exit(cli.main(['run', '--input', {path!r}, '--output', {str(out)!r}, "
+                f"'--labels', {os.path.join(str(root), 'labels.csv')!r}, '--verify', "
+                "'--quiet']))")
+        return subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    assert os.path.getsize(path) > 4 << 14
+    t0 = time.perf_counter()
+    whole = start(tmp_path / "whole")
+    assert whole.wait() == 0
+    took = time.perf_counter() - t0
+    complete = files_under(tmp_path / "whole")
+    rng = random.Random(os.getpid())
+    rounds = 8
+    for i in range(rounds):
+        out = tmp_path / f"killed-{i}"
+        proc = start(out)
+        time.sleep(took * (i + rng.random()) / rounds)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + CHILD_BOUND_S
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_processes(proc.pid) == [], f"round {i}"
+        if (out / "manifest.json").exists():
+            assert [f for f in files_under(out)
+                    if not any(part.startswith(".") for part in f.split(os.sep))] == complete
 
 
 class TestConfigPrecedence:

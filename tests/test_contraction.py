@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph_and_coloring
 from fluxgraph import cli
+from fluxgraph import contraction
 from fluxgraph.contraction import (
     ContractedGraph,
     ContractedNode,
@@ -21,11 +22,12 @@ from fluxgraph.contraction import (
     identity_assignment,
     load_contracted,
     oracle_contract,
+    quotient_frames,
     quotient_rows,
     save_contracted,
     verify_contraction,
 )
-from fluxgraph.errors import PartialColoringError, VerificationError
+from fluxgraph.errors import MalformedRecordError, PartialColoringError, VerificationError
 from fluxgraph.exchanges import Coloring, build_coloring, detect_exchanges
 from fluxgraph.graph import AggregatedGraph, EdgeAggregate, build_graph
 from fluxgraph.records import ingest
@@ -283,6 +285,27 @@ class TestQuotientRows:
         assert quotient_rows(g.names, contracted, moved) \
             != quotient_rows(g.names, contracted, assignment)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_frames_cut_the_rows_in_order(self, seed, monkeypatch):
+        monkeypatch.setattr(contraction, "FRAME_ROWS", 3)
+        g, coloring = random_graph_and_coloring(seed, max_nodes=40, max_edges=80)
+        rows = quotient_rows(g.names, *contract(g, coloring))
+        frames = list(quotient_frames(g.names, *oracle_contract(g, coloring)))
+        assert frames == list(quotient_frames(g.names, *contract(g, coloring)))
+        assert marshal.loads(marshal.dumps(frames)) == frames
+        joined = {"nodes": [], "edges": [], "assignment": b""}
+        for section, piece in frames:
+            assert len(piece) <= (24 if section == "assignment" else 3)
+            joined[section] += piece
+        assert tuple(joined.values()) == rows
+
+    def test_frames_sensitive_to_one_account_moved(self, monkeypatch):
+        monkeypatch.setattr(contraction, "FRAME_ROWS", 2)
+        g, coloring = hand_graph()
+        contracted, assignment = contract(g, coloring)
+        assert list(quotient_frames(g.names, contracted, dict(assignment, c=1))) \
+            != list(quotient_frames(g.names, contracted, assignment))
+
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_assignment_of_other_accounts_raises(self, change):
         g, coloring = hand_graph()
@@ -409,6 +432,24 @@ class TestPersistence:
             (str(src), str(dst)): {"weight": agg.flux, "multiplicity": agg.multiplicity}
             for (src, dst), agg in contracted.edges.items()
         }
+
+    @pytest.mark.parametrize("row,reason", [
+        ("a,999", "address 'a' appears twice"),
+        ("a,1", "address 'a' appears twice"),
+        ("d,999", "cluster 999 is not in nodes.csv"),
+    ])
+    def test_load_contracted_checks_the_assignment(self, tmp_path, row, reason):
+        g = AggregatedGraph()
+        g.add_transfer("a", "b", 1)
+        g.add_transfer("b", "c", 1)
+        contracted, assignment = contract(g, Coloring.all_users(g))
+        save_contracted(contracted, assignment, str(tmp_path))
+        path = tmp_path / "assignment.csv"
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(MalformedRecordError) as exc:
+            load_contracted(str(tmp_path))
+        assert str(exc.value) == f"{path}:5: {reason}"
 
     def test_dot_output_mentions_every_cluster(self, tmp_path):
         g, coloring = hand_graph()

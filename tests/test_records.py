@@ -1,6 +1,8 @@
 """Record parsing, amount conversion and drop reasons."""
 
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -625,3 +627,126 @@ class TestRoundTrip:
         obj = json.loads(transfer_line(t))
         assert obj["sender"] == "a\\b"
         assert obj["recipient"] == 'c"d'
+
+
+def _outcome_of(read):
+    """What read() returns, or the type, text and line of what it raises."""
+    try:
+        return read()
+    except MalformedRecordError as exc:
+        return type(exc), str(exc), exc.line_no
+
+
+_NAMES = ["alice", "bob", "ünï", "名前", "U0000001"]
+
+
+@st.composite
+def ledger_lines(draw):
+    """One line of a ledger, with its line end: a kept transfer in either
+    layout, a dropped record, a blank line or a malformed one."""
+    kind = draw(st.sampled_from(["kept", "kept", "canonical", "dropped", "blank", "malformed"]))
+    sender, recipient = draw(st.sampled_from(_NAMES)), draw(st.sampled_from(_NAMES))
+    amount = draw(st.integers(0, 10**12))
+    if kind == "kept":
+        body = json.dumps(dict(json.loads(record_line(amount_planck=amount)),
+                               sender=sender, recipient=recipient), ensure_ascii=False)
+    elif kind == "canonical":
+        body = transfer_line(TransferRecord(sender, recipient, amount or 1, 5, 6))
+    elif kind == "dropped":
+        body = record_line(**draw(st.sampled_from([
+            {"signed": False}, {"success": False}, {"call_id": "bond"},
+            {"amount_planck": 0}, {"block_number": 1}])))
+    elif kind == "blank":
+        body = draw(st.sampled_from(["", "  ", "\t"]))
+    else:
+        body = draw(st.sampled_from(["{not json", '{"block_number": 1}', "[]",
+                                     record_line(timestamp="x")]))
+    return body + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+
+
+class TestBlocks:
+    """ingest_blocks, over ledgers of many tiny blocks, against ingest()
+    over the whole file."""
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(ledger_lines(), max_size=30),
+        st.sampled_from([None, "first", "second"]),
+        st.data(),
+    )
+    def test_blocks_match_serial_ingest(self, tmp_path_factory, lines, bad_byte, data):
+        from fluxgraph import cli
+        from fluxgraph.graph import build_graph
+
+        from conftest import assert_no_child
+
+        raw = b"".join(line.encode("utf-8") for line in lines)
+        ends = [len(raw[:i + 1]) for i in range(len(raw)) if raw[i:i + 1] == b"\n"]
+        # at times a block ends exactly at a line end
+        block = data.draw(st.one_of(st.integers(1, 120), st.sampled_from(ends or [1])))
+        start_block = data.draw(st.sampled_from([0, 50]))
+        folder = tmp_path_factory.mktemp("blocks")
+        path = str(folder / "ledger.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        if bad_byte:
+            # block 0 is always this process's, and block 1 the child's; a
+            # byte put within block's length of a block's start stays in it
+            with open(path, "rb") as fh, mock.patch.object(records, "BLOCK_BYTES", block):
+                blocks = records._blocks(fh)
+            first = 0 if bad_byte == "first" else blocks[1][0] if blocks[1:] else len(raw)
+            at = data.draw(st.integers(first, min(first + block - 1, len(raw))))
+            raw = raw[:at] + b"\xff" + raw[at:]
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        for on_error in ("fail", "skip"):
+            def serial():
+                summary = IngestSummary()
+                with open(path, "r", encoding="utf-8") as fh:
+                    kept = list(ingest(fh, start_block, on_error, summary))
+                write_transfers(str(folder / "serial.jsonl"), kept)
+                graph = build_graph(kept)
+                return (summary, (folder / "serial.jsonl").read_bytes(),
+                        (graph.names, graph.src, graph.dst, graph.flux, graph.mult))
+
+            def blocks():
+                summary = IngestSummary()
+                graph = cli._fold(records.ingest_blocks(
+                    path, records.transfer_rows, start_block, on_error, summary))
+                cli._write_text(str(folder / "blocks.jsonl"), records.ingest_blocks(
+                    path, records.transfer_text, start_block, on_error))
+                return (summary, (folder / "blocks.jsonl").read_bytes(),
+                        (graph.names, graph.src, graph.dst, graph.flux, graph.mult))
+
+            with mock.patch.object(records, "BLOCK_BYTES", block), \
+                    mock.patch.object(os, "fork", counted):
+                assert _outcome_of(blocks) == _outcome_of(serial)
+            assert_no_child()
+            with open(path, "rb") as fh:
+                with mock.patch.object(records, "BLOCK_BYTES", block):
+                    several = len(records._blocks(fh)) >= 2
+            assert bool(forks) == several
+
+    def test_every_block_claimed_once_under_contention(self, tmp_path, monkeypatch):
+        """One line per block, so the two processes take the claim token
+        thousands of times: every block still counts once, in order."""
+        from conftest import assert_no_child
+
+        lines = [transfer_line(TransferRecord(f"s{i}", f"r{i % 7}", i + 1, i, i)) + "\n"
+                 for i in range(3000)]
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("".join(lines))
+        monkeypatch.setattr(records, "BLOCK_BYTES", 1)
+        summary = IngestSummary()
+        blocks = list(records.ingest_blocks(str(path), records.transfer_text,
+                                            summary=summary))
+        assert blocks == lines
+        assert (summary.parsed, summary.kept) == (3000, 3000)
+        assert_no_child()
