@@ -1,34 +1,43 @@
-"""Forked helper processes and the frames they send back.
+"""Forked helper processes and the items they stream back.
 
-Child.start runs one function in a forked copy of this process, handing
-it the write end of a pipe; the parent reads the other end. The child
-leaves through os._exit on every path, 0 when the function returned and
-1 when it raised, so it runs none of the parent's cleanup and flushes
-none of its buffers. Where os.fork is missing or fails, start returns
-None and the caller does the work itself.
-
-A frame is a length-prefixed byte string, so the reader takes a whole
-one with two read(n) calls.
+Child.start(produce) runs produce() in a forked copy of this process
+and sends each item it yields, as marshal bytes in a length-prefixed
+frame, through a pipe; Child.items() yields them in the parent until
+the stream ends. The child leaves through os._exit on every path, 0
+when produce() was exhausted and 1 when it raised, so it runs none of
+the parent's cleanup and flushes none of its buffers. Where os.fork is
+missing or fails, start returns None and the caller does the work
+itself.
 """
 
 from __future__ import annotations
 
 import contextlib
+import marshal
 import os
 import signal
 import struct
-from typing import BinaryIO, Callable, Optional
+import time
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
+
+# How much a child's pipe holds before its next send waits, where the
+# system allows: Linux's fs/pipe-max-size is 1 MiB by default. Elsewhere
+# a pipe keeps the system's size (64 KiB on Linux).
+PIPE_BYTES = 1 << 20
 
 _LENGTH = struct.Struct("<Q")
+_END = object()
 
 
-def write_frame(pipe: BinaryIO, data: bytes) -> None:
+def _write_frame(pipe: BinaryIO, data: bytes) -> None:
     pipe.write(_LENGTH.pack(len(data)))
     pipe.write(data)
+    pipe.flush()
 
 
-def read_frame(pipe: BinaryIO) -> Optional[bytes]:
-    """The next frame, or None where the stream ends, even inside a frame."""
+def _read_frame(pipe: BinaryIO) -> Optional[bytes]:
+    """The next frame, or None where the stream ends, even inside a frame.
+    The length prefix lets the reader take a whole one with two read(n)."""
     head = pipe.read(_LENGTH.size)
     if len(head) != _LENGTH.size:
         return None
@@ -38,27 +47,26 @@ def read_frame(pipe: BinaryIO) -> Optional[bytes]:
 
 
 class Child:
-    """A forked process working on one function; pipe is the read end of
-    what it sends."""
+    """A forked process running one produce(); pipe is the read end of
+    what it sends, and waited the seconds spent waiting for its items."""
 
     def __init__(self, pid: int, pipe: BinaryIO):
         self.pid = pid
         self.pipe = pipe
+        self.waited = 0.0
         self._status: Optional[int] = None
 
     @classmethod
-    def start(cls, work: Callable[[BinaryIO], None],
-              pipe_bytes: int = 0) -> Optional["Child"]:
-        """pipe_bytes, where given and the system allows, is how much the
-        pipe holds before a write waits (64 KiB by default on Linux)."""
+    def start(cls, produce: Callable[[], Iterable]) -> Optional["Child"]:
+        """Fork a child that sends each item produce() yields, which must
+        be marshal-able; None where the process cannot fork."""
         if not hasattr(os, "fork"):
             return None
         read_fd, write_fd = os.pipe()
-        if pipe_bytes:
-            import fcntl
-            # F_SETPIPE_SZ is Linux's; above fs/pipe-max-size it fails
-            with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, pipe_bytes)
+        import fcntl  # present wherever os.fork is
+        # F_SETPIPE_SZ is Linux's; above fs/pipe-max-size it fails
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
         try:
             pid = os.fork()
         except OSError:  # no process to spare
@@ -70,13 +78,25 @@ class Child:
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
-                    work(pipe)
+                    for item in produce():
+                        _write_frame(pipe, marshal.dumps(item))  # waits while the pipe is full
                 status = 0
             finally:
                 # skip the parent's cleanup and buffered output, whatever happened
                 os._exit(status)
         os.close(write_fd)
         return cls(pid, open(read_fd, "rb"))
+
+    def items(self) -> Iterator:
+        """The items the child sent, in order, until the stream ends. Holds
+        none of them between two."""
+        return iter(self._next_item, _END)
+
+    def _next_item(self):
+        t0 = time.perf_counter()
+        data = _read_frame(self.pipe)
+        self.waited += time.perf_counter() - t0
+        return _END if data is None else marshal.loads(data)
 
     def running(self) -> bool:
         """False once the child has exited; reaps it then."""

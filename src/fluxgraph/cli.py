@@ -21,10 +21,10 @@ import gc
 import itertools
 import json
 import logging
-import marshal
 import os
 import sys
 import time
+from typing import Callable, Iterable, Iterator
 
 try:
     import resource
@@ -38,7 +38,7 @@ from .analytics import (
     check_conservation,
     save_report,
 )
-from .children import Child, read_frame, write_frame
+from .children import Child
 # canonical_form, ingest, load_contracted, read_transfers, transfer_line
 # and write_transfers are not called here, but stay importable from this
 # module: bench/spans.py wraps the layer functions by these names
@@ -246,52 +246,6 @@ def _built(graph: AggregatedGraph) -> GraphStats:
     return stats
 
 
-class _Writer:
-    """save_graph in a forked child while the caller goes on; wait()
-    waits for it. The child sends its own seconds through a pipe and
-    leaves by os._exit. A child that failed or sent nothing is run again
-    here, so that its genuine exception surfaces; where the process
-    cannot fork, the graph is saved here at once. Used as a context
-    manager, which waits for the child on every path and never kills it,
-    so that it leaves no temporary file."""
-
-    def __init__(self, graph: AggregatedGraph, directory: str, timings: dict):
-        self._graph, self._directory, self._timings = graph, directory, timings
-        self._child = Child.start(self._work)
-        if self._child is None:
-            self._inline()
-
-    def _work(self, pipe) -> None:
-        t0 = time.perf_counter()
-        save_graph(self._graph, self._directory)
-        write_frame(pipe, marshal.dumps(time.perf_counter() - t0))
-
-    def _inline(self) -> None:
-        with _timed(self._timings, "save_graph"):
-            save_graph(self._graph, self._directory)
-
-    def wait(self) -> None:
-        child, self._child = self._child, None
-        if child is None:
-            return
-        t0 = time.perf_counter()
-        data = read_frame(child.pipe)
-        status = child.wait()
-        _log_stage(self._timings, "wait_save_graph", time.perf_counter() - t0, children=True)
-        if status == 0 and data is not None:
-            _log_stage(self._timings, "save_graph", marshal.loads(data), children=True)
-            return
-        log.debug("save_graph: the writer's child exited with %d; running it here", status)
-        self._inline()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._child is not None:
-            self._child.wait()
-
-
 def _detection_summary(clusters) -> dict:
     return {
         "clusters": len(clusters),
@@ -319,85 +273,82 @@ def _save_detection(clusters, coloring: Coloring | None, clusters_path: str,
         save_coloring(coloring_path, coloring)
 
 
-class _Oracle:
-    """The --verify oracle's contraction, as quotient frames.
+def _timed_items(produce) -> Iterator:
+    """What produce() yields, then the seconds spent making it, without
+    the time spent suspended at each yield."""
+    seconds = 0.0
+    t0 = time.perf_counter()
+    for item in produce():
+        seconds += time.perf_counter() - t0
+        yield item
+        t0 = time.perf_counter()
+    yield seconds + time.perf_counter() - t0
 
-    Where the process may fork, the oracle runs in a forked child while
-    the caller goes on, and frames() yields what it sends as it arrives;
-    elsewhere it runs here, at once. The child only computes: it sends
-    its frames, then its own seconds, through a pipe and leaves by
-    os._exit. Where the child failed or stopped sending, the frames it
-    did not send are worked out here, so that its genuine exception
-    surfaces. Used as a context manager, which reaps the child on every
-    path, killing it first if the caller raised.
+
+class _Forked:
+    """produce() in a forked child while the caller goes on; items()
+    yields what it yields, as it arrives. produce must yield tuples.
+
+    The child's own seconds are logged as key, and the parent's wait for
+    its items as wait_<key>. Where the child failed or stopped sending,
+    the items it did not send are worked out here, so that its genuine
+    exception surfaces; where the process cannot fork, produce() runs
+    here at once. Used as a context manager, which reaps the child on
+    every path: where kill, a child still running is killed first, and
+    otherwise waited for, so that one writing files leaves no temporary
+    file.
     """
 
-    def __init__(self, graph: AggregatedGraph, coloring: Coloring, timings: dict):
-        self._graph, self._coloring, self._timings = graph, coloring, timings
-        self._frames = None
-        self._child = Child.start(self._work)
-        if self._child is None:
-            self._frames = self._inline()
+    def __init__(self, key: str, produce: Callable[[], Iterable[tuple]], timings: dict, *,
+                 kill: bool):
+        self._key, self._produce, self._timings, self._kill = key, produce, timings, kill
+        self._child = Child.start(functools.partial(_timed_items, produce))
+        self._items = self._inline() if self._child is None else None
 
     def _inline(self) -> list:
-        t0 = time.perf_counter()
-        frames = list(quotient_frames(self._graph.names,
-                                      *oracle_contract(self._graph, self._coloring)))
-        _log_stage(self._timings, "verify", time.perf_counter() - t0)
-        return frames
+        with _timed(self._timings, self._key):
+            return list(self._produce())
 
-    def _work(self, pipe) -> None:
-        seconds = 0.0
-        t0 = time.perf_counter()
-        for frame in quotient_frames(self._graph.names,
-                                     *oracle_contract(self._graph, self._coloring)):
-            data = marshal.dumps(frame)
-            seconds += time.perf_counter() - t0
-            write_frame(pipe, data)  # waits while the parent is busy
-            t0 = time.perf_counter()
-        write_frame(pipe, marshal.dumps(seconds + time.perf_counter() - t0))
-
-    def frames(self):
-        """The oracle's frames, handed over as they arrive: this object
+    def items(self) -> Iterator[tuple]:
+        """produce()'s items, handed over as they arrive: this object
         keeps no reference."""
         if self._child is None:
-            frames, self._frames = self._frames, None
-            yield from frames
+            items, self._items = self._items, None
+            yield from items
             return
-        sent = 0
-        waiting = 0.0
-        while True:
-            t0 = time.perf_counter()
-            data = read_frame(self._child.pipe)
-            waiting += time.perf_counter() - t0
-            item = None if data is None else marshal.loads(data)
+        sent, item = 0, None
+        for item in self._child.items():
             if type(item) is not tuple:
                 break
             yield item
             sent += 1
-        status = self._child.wait()
-        self._child = None
-        _log_stage(self._timings, "wait_verify", waiting, children=True)
+        child, self._child = self._child, None
+        status = child.wait()
+        _log_stage(self._timings, f"wait_{self._key}", child.waited, children=True)
         if status == 0 and type(item) is float:
-            _log_stage(self._timings, "verify", item, children=True)
+            _log_stage(self._timings, self._key, item, children=True)
             return
-        log.debug("verify: the oracle's child exited with %d; running it here", status)
+        log.debug("%s: the child exited with %d; running it here", self._key, status)
         yield from itertools.islice(self._inline(), sent, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._child is not None:
+        if self._child is None:
+            return
+        if self._kill:
             self._child.kill()
+        else:
+            self._child.wait()
 
 
-def _verify(oracle: _Oracle, graph: AggregatedGraph, contracted, assignment) -> None:
+def _verify(oracle: _Forked, graph: AggregatedGraph, contracted, assignment) -> None:
     """Cross-check a contraction against the independent implementation's,
     one frame at a time as the oracle's arrive."""
     if not verify_contraction(contracted):
         raise VerificationError("contracted graph is not properly colored")
-    theirs = oracle.frames()
+    theirs = oracle.items()
     # both routes number clusters alike, so equal quotients have equal frames
     for frame in quotient_frames(graph.names, contracted, assignment):
         if frame != next(theirs, None):
@@ -419,7 +370,12 @@ def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, director
     appears only once the check has passed (see tables.HeldOutput)."""
     meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
                 verified=verify)
-    with _Oracle(graph, coloring, timings) if verify else contextlib.nullcontext() as oracle:
+
+    def oracle_frames():
+        return quotient_frames(graph.names, *oracle_contract(graph, coloring))
+
+    with (_Forked("verify", oracle_frames, timings, kill=True) if verify
+          else contextlib.nullcontext()) as oracle:
         if meanwhile is not None:
             meanwhile()
         with HeldOutput() as held:
@@ -648,7 +604,12 @@ def cmd_run(args, config: dict) -> int:
         graph, summary = _ingest(args.input, ingest_opts, transfer_rows, _fold, timings)
     before = _built(graph)
     graph.name_order()  # worked out once, for the writer and for contract()
-    with _Writer(graph, out(GRAPH_DIR), timings) as writer:
+
+    def write_graph():  # sends nothing but its seconds
+        save_graph(graph, out(GRAPH_DIR))
+        return ()
+
+    with _Forked("save_graph", write_graph, timings, kill=False) as writer:
         with _timed(timings, "detect"):
             clusters, coloring = _detect(graph, params, labels, coloring=True)
         cluster_labels = {c.cluster_id: c.label for c in clusters}
@@ -661,7 +622,8 @@ def cmd_run(args, config: dict) -> int:
             with _timed(timings, "analyze"):
                 _analyze(before, contracted, clusters, cuts, stage(out(REPORT_DIR)),
                          cluster_labels)
-            writer.wait()
+            for _ in writer.items():  # none: graph/ is written once they end
+                pass
 
         contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
                                timings, meanwhile=save_detection, with_quotient=report,

@@ -23,19 +23,17 @@ import contextlib
 import functools
 import io
 import json
-import marshal
 import mmap
 import os
 import re
 import select
 import struct
-import time
 from dataclasses import astuple, asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
 
-from .children import Child, read_frame, write_frame
+from .children import Child
 from .errors import ConfigError, MalformedRecordError, MissingFieldError
 from .tables import atomic_output
 
@@ -408,11 +406,6 @@ def transfer_text(transfers: Iterable[TransferRecord]) -> str:
 # after a newline; one of at least two blocks is parsed by two processes.
 BLOCK_BYTES = 1 << 20
 
-# How much of the child's results may wait in its pipe, unread, where
-# the system allows (Linux's fs/pipe-max-size is 1 MiB by default); the
-# child waits while the pipe is full.
-_PIPE_BYTES = 1 << 20
-
 
 def ingest_blocks(
     path: str,
@@ -435,10 +428,11 @@ def ingest_blocks(
     block 0 and the child block 1, then each claims the next unclaimed
     block whenever it is free, so the split balances itself. The child
     sends each result as soon as it is parsed, and waits while its pipe
-    is full (see _PIPE_BYTES); waited, when given, gets the seconds spent
-    waiting for the child's results. Where a block raises, the whole
-    file is read again here, so that ingest()'s own exception surfaces.
-    Where os.fork is missing or fails, this process parses every block.
+    is full (see children.PIPE_BYTES); waited, when given, gets the
+    seconds spent waiting for the child's results. Where a block raises,
+    the whole file is read again here, so that ingest()'s own exception
+    surfaces. Where os.fork is missing or fails, this process parses
+    every block.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
@@ -500,22 +494,17 @@ def _parsed(fd: int, blocks, parse, waited) -> Iterator:
         mine = claims.take()
         if len(blocks) >= 2:
             child = Child.start(functools.partial(
-                _claim_blocks, claims, claims.take(), fd, blocks, parse, os.getpid()),
-                _PIPE_BYTES)
+                _claim_blocks, claims, claims.take(), fd, blocks, parse, os.getpid()))
         running = child.running if child is not None else (lambda: False)
-        sending = child is not None
-        waiting = 0.0
+        sent = child.items() if child is not None else iter(())
         done = 0  # blocks yielded
         while True:
             result = None if mine is None else parse(fd, *blocks[mine])
             # the blocks before this process's next are the child's
             for i in range(done, len(blocks) if mine is None else mine):
-                t0 = time.perf_counter()
-                data = read_frame(child.pipe) if sending else None
-                waiting += time.perf_counter() - t0
-                # a child that stopped sending leaves its blocks to this process
-                sending = data is not None
-                yield marshal.loads(data) if sending else parse(fd, *blocks[i])
+                # one that raised in the child, or that it did not send, is
+                # parsed here; no name holds it while this process parses
+                yield next(sent, None) or parse(fd, *blocks[i])
             if mine is None:
                 break
             yield result
@@ -527,21 +516,21 @@ def _parsed(fd: int, blocks, parse, waited) -> Iterator:
             child.wait()
         claims.close()
     if waited is not None and child is not None:
-        waited(waiting)
+        waited(child.waited)
 
 
-def _claim_blocks(claims: "_Claims", first: int, fd: int, blocks, parse, parent: int,
-                  pipe) -> None:
-    """The child's part: parse block first, then claim blocks in turn,
-    sending each result as soon as it is parsed. Stops at a block that
-    raised, and when the parent has gone."""
+def _claim_blocks(claims: "_Claims", first: int, fd: int, blocks, parse,
+                  parent: int) -> Iterator:
+    """The child's part: the result of block first, then of each block it
+    claims in turn. Stops after a block that raised, and when the parent
+    has gone."""
     def parent_alive() -> bool:
         return os.getppid() == parent
 
     i = first
     while i is not None:
         result = parse(fd, *blocks[i])
-        write_frame(pipe, marshal.dumps(result))
+        yield result
         if result is None or not parent_alive():
             break
         i = claims.take(parent_alive)

@@ -874,12 +874,24 @@ def session_processes(session: int) -> list[int]:
     return pids
 
 
+def is_write_leftover(rel: str) -> bool:
+    """rel is a hidden file a killed write may leave: the temporary file
+    of an atomic write (.NAME.PID.tmp) or anything under a staging
+    directory (.stage.XXXX.tmp/)."""
+    *dirs, name = rel.split(os.sep)
+    hidden = [d for d in dirs if d.startswith(".")]
+    if hidden:
+        return re.fullmatch(r"\.stage\..+\.tmp", hidden[0]) is not None
+    return re.fullmatch(r"\..+\.\d+\.tmp", name) is not None
+
+
 @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")),
                     reason="needs os.fork and /proc")
 def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger):
     """SIGKILL run --verify, over a ledger of many blocks, at random
     moments: within CHILD_BOUND_S no process of its session is left, and
-    its output either has no manifest.json or is complete."""
+    its output either has no manifest.json or is complete. Every visible
+    file is the complete run's, and every hidden one a write's leftover."""
     root, path, _ = ledger
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -915,6 +927,13 @@ def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger)
         if (out / "manifest.json").exists():
             assert [f for f in files_under(out)
                     if not any(part.startswith(".") for part in f.split(os.sep))] == complete
+        for rel in files_under(out):
+            if any(part.startswith(".") for part in rel.split(os.sep)):
+                assert is_write_leftover(rel), f"round {i}: {rel}"
+            elif rel != "manifest.json":
+                assert rel in complete, f"round {i}: {rel}"
+                assert (out / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes(), \
+                    f"round {i}: {rel}"
 
 
 class TestConfigPrecedence:
