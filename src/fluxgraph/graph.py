@@ -30,18 +30,22 @@ read API of a mapping.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import functools
 import heapq
+import io
 import operator
 import os
 from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import MalformedRecordError, UnknownAccountError
-from .records import TransferRecord
-from .tables import read_table, write_table
+from .records import TransferRecord, _blocks, _parsed
+from .tables import MAX_INT_DIGITS, atomic_output, read_table, write_table
 
 # Width of one node id in a packed pair key: two distinct id pairs never
 # share a key while every id is below 1 << ID_BITS, which _intern enforces.
@@ -371,23 +375,61 @@ NODES_HEADER = ["account"]
 EDGES_HEADER = ["sender", "recipient", "flux_planck", "multiplicity"]
 
 
-def _edge_rows(graph: AggregatedGraph) -> Iterator[tuple]:
-    """Edge rows ordered by (sender, recipient) name."""
-    names, src, dst, flux, mult = graph.names, graph.src, graph.dst, graph.flux, graph.mult
+# the first lines of nodes.csv and edges.csv as save_graph writes them
+_NODES_HEADER_LINE = (",".join(NODES_HEADER) + "\r\n").encode()
+_EDGES_HEADER_LINE = (",".join(EDGES_HEADER) + "\r\n").encode()
+# A block of edges.csv is checked and converted this many bytes, a few
+# thousand rows, at a time, so that what its parse holds beside the
+# block and its result stays small.
+_SLICE_BYTES = 1 << 17
+
+
+def _cells(names: list[str]) -> list[str]:
+    """Each name as csv.writer writes it in a row of several cells:
+    names itself where no name needs quoting. Rows of a few thousand
+    names are compared, so that no large string is made."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+
+    def line(row) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        return buf.getvalue()
+
+    if all(line(names[i:i + 4096]) == ",".join(names[i:i + 4096]) + "\r\n"
+           for i in range(0, len(names), 4096)):
+        return names
+    # without the empty cell's "," and the "\r\n"
+    return [line((name, ""))[:-3] for name in names]
+
+
+def _edge_lines(graph: AggregatedGraph) -> Iterator[str]:
+    """edges.csv's data lines, ordered by (sender, recipient) name."""
+    src, dst, flux, mult = graph.src, graph.dst, graph.flux, graph.mult
     by_name = graph.name_order()
     order = len(by_name)
     rank = [0] * order  # rank[i] is node i's position in name order
     for position, node in enumerate(by_name):
         rank[node] = position
-    keys = [rank[s] * order + rank[r] for s, r in zip(src, dst)]
+    # each edge's sort key with its id in the low bits, so that one list
+    # of ints sorted in place gives the order and no second list is held
+    shift = len(src).bit_length()
+    keys = [(rank[s] * order + rank[r]) << shift | e for e, (s, r) in enumerate(zip(src, dst))]
     del rank
-    rows = sorted(range(len(keys)), key=keys.__getitem__)
+    keys.sort()
+    rows = array("q", map(((1 << shift) - 1).__and__, keys))
     del keys
-    for e in rows:
-        yield names[src[e]], names[dst[e]], flux[e], mult[e]
+    cell = _cells(graph.names).__getitem__
+    return map("%s,%s,%d,%d\r\n".__mod__, zip(
+        map(cell, map(src.__getitem__, rows)), map(cell, map(dst.__getitem__, rows)),
+        map(flux.__getitem__, rows), map(mult.__getitem__, rows)))
 
 
 def save_graph(graph: AggregatedGraph, directory: str) -> None:
+    """Write nodes.csv and edges.csv in the csv module's default dialect;
+    edges.csv's lines are formatted from each account's cell, rendered
+    once, with the bytes csv.writer would write."""
     os.makedirs(directory, exist_ok=True)
     names = graph.names
     write_table(
@@ -395,43 +437,201 @@ def save_graph(graph: AggregatedGraph, directory: str) -> None:
         NODES_HEADER,
         ((names[i],) for i in graph.name_order()),
     )
-    write_table(os.path.join(directory, EDGES_FILE), EDGES_HEADER, _edge_rows(graph))
+    with atomic_output(os.path.join(directory, EDGES_FILE)) as fh:
+        fh.write(_EDGES_HEADER_LINE.decode())
+        fh.writelines(_edge_lines(graph))
 
 
 def load_graph(directory: str) -> AggregatedGraph:
     """Rebuild a graph saved by save_graph; totals are recomputed exactly.
     A repeated account or edge, or an edge naming an account that
-    nodes.csv lacks, is a malformed row."""
+    nodes.csv lacks, is a malformed row.
+
+    nodes.csv is read in one piece where it is as save_graph writes it.
+    Past its header, edges.csv is read in line-aligned blocks of
+    records.BLOCK_BYTES by the ledger's block engine: where it spans two
+    blocks or more, a forked child parses some of them (see
+    records.ingest_blocks). A header other than save_graph's, a quote,
+    a fault or bytes that are not UTF-8 send the whole directory through
+    the row loop instead, whose error names the file and line of the
+    first fault.
+    """
     nodes_path = os.path.join(directory, NODES_FILE)
     edges_path = os.path.join(directory, EDGES_FILE)
+    g = _nodes_at_once(nodes_path) or _read_nodes(nodes_path)
+    if not _fold_edge_blocks(g, edges_path):
+        g = _read_nodes(nodes_path)
+        _fold_edge_rows(g, edges_path)
+    g.compact()
+    return g
+
+
+def _nodes_at_once(path: str) -> Optional[AggregatedGraph]:
+    """_read_nodes(path) where each line of nodes.csv after save_graph's
+    header is a distinct bare account name ending in CRLF; None where
+    the row loop must read it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # a quote or a comma needs the csv module; Python 3.10's rejects a NUL
+    if not data.startswith(_NODES_HEADER_LINE) or b'"' in data or b"," in data or b"\0" in data:
+        return None
+    try:
+        text = data[len(_NODES_HEADER_LINE):].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    del data
+    names = text.split("\r\n")
+    if (names.pop() or not text.count("\r") == text.count("\n") == len(names)
+            or not all(names) or len(names) > 1 << ID_BITS
+            or max(map(len, names), default=0) > csv.field_size_limit()):
+        return None
+    del text
     g = AggregatedGraph()
-    names, ids, src = g.names, g.ids, g.src
-    # Each row is checked here, where its line is known, and then goes
-    # straight to _intern or _bump, as add_node and add_edge would only
-    # check it again. A fault shows in the graph's own state, as a known
-    # account or a length that did or did not grow: no per-row set.
-    for line, (account,) in read_table(nodes_path, NODES_HEADER):
+    g.ids.update(zip(names, range(len(names))))
+    if len(g.ids) != len(names):  # an account appears twice
+        return None
+    g.names = names
+    return g
+
+
+def _read_nodes(path: str) -> AggregatedGraph:
+    """A graph of nodes.csv's accounts, in file order, and no edge."""
+    g = AggregatedGraph()
+    ids = g.ids
+    for line, (account,) in read_table(path, NODES_HEADER):
         if account in ids:
-            raise MalformedRecordError(f"account {account!r} appears twice", line, nodes_path)
+            raise MalformedRecordError(f"account {account!r} appears twice", line, path)
         g._intern(account)
+    return g
+
+
+def _fold_edge_rows(g: AggregatedGraph, path: str) -> None:
+    """The row loop: fold edges.csv into g one row at a time."""
+    names, src = g.names, g.src
     known = len(names)
+    # Each row is checked here, where its line is known, and then goes
+    # straight to _bump, as add_edge would only check it again. A fault
+    # shows in the graph's own state, as a known account or a length
+    # that did or did not grow: no per-row set.
     for line, (sender, recipient, flux, multiplicity) in read_table(
-        edges_path, EDGES_HEADER, ("flux_planck", "multiplicity")
+        path, EDGES_HEADER, ("flux_planck", "multiplicity")
     ):
         if not (flux and multiplicity):
             raise MalformedRecordError(
-                "flux_planck and multiplicity must be positive", line, edges_path
+                "flux_planck and multiplicity must be positive", line, path
             )
         size = len(src)
         g._bump(sender, recipient, flux, multiplicity)
         if len(names) != known:
             # the first account interned past known is the row's first unknown one
             raise MalformedRecordError(
-                f"account {names[known]!r} is not in {NODES_FILE}", line, edges_path
+                f"account {names[known]!r} is not in {NODES_FILE}", line, path
             )
         if len(src) == size:
             raise MalformedRecordError(
-                f"edge {sender!r} -> {recipient!r} appears twice", line, edges_path
+                f"edge {sender!r} -> {recipient!r} appears twice", line, path
             )
-    g.compact()
-    return g
+
+
+def _fold_edge_blocks(g: AggregatedGraph, path: str) -> bool:
+    """Fold edges.csv into g block by block, in file order; False, with g
+    part-folded, where the row loop must read it. While the blocks'
+    packed pair keys ascend, as in save_graph's order, no edge can
+    repeat; from the first block out of that order on, the dedup index
+    finds a repeated one."""
+    parse = functools.partial(_edge_block, ids=g.ids)
+    nodes = list(g.ids.values())  # nodes[i] is the ids dict's own int for node i
+    src, dst = g.src, g.dst
+    index = None
+    last = -1  # the largest key so far, while the keys ascend
+    with open(path, "rb") as fh:
+        if fh.readline() != _EDGES_HEADER_LINE:
+            return False
+        blocks = _blocks(fh, fh.tell())
+        with contextlib.closing(_parsed(fh.fileno(), blocks, parse, None)) as results:
+            for result in results:
+                if result is None:
+                    return False
+                senders, recipients = array("q", result[0]), array("q", result[1])
+                first, end = result[4]
+                if index is None and first is not None and first > last:
+                    last = end
+                else:
+                    if index is None:
+                        index = g._reindex()
+                    size = len(src) + len(senders)
+                    index.update(zip(_pair_keys(senders, recipients), range(len(src), size)))
+                    if len(index) != size:  # an edge appears twice
+                        return False
+                src.extend(map(nodes.__getitem__, senders))
+                dst.extend(map(nodes.__getitem__, recipients))
+                del senders, recipients
+                for column, values in zip((g.flux, g.mult), result[2:4]):
+                    column.extend(array("q", values) if type(values) is bytes else values)
+                del result
+    return True
+
+
+def _edge_block(fd: int, start: int, end: int, ids: dict[str, int]) -> Optional[tuple]:
+    """The edges in bytes start:end of edges.csv, the file fd, checked as
+    the row loop checks them: the sender and recipient ids as array('q')
+    bytes; flux and multiplicity, each as array('q') bytes or, where a
+    value is wider, a list; and the first and last packed pair key where
+    the keys ascend, else (None, None). None where a line holds a quote
+    or does not end in CRLF, a cell fails its check, or the bytes are
+    not UTF-8."""
+    data = os.pread(fd, end - start, start)
+    if b'"' in data:  # a quoted cell, which may hold a line end
+        return None
+    src, dst, flux, mult = array("q"), array("q"), [], []
+    pos = 0
+    while pos < len(data):
+        cut = data.find(b"\n", pos + _SLICE_BYTES) + 1 or len(data)
+        try:
+            text = data[pos:cut].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        pos = cut
+        lines = text.split("\r\n")
+        if lines.pop() or not text.count("\r") == text.count("\n") == len(lines):
+            return None
+        if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
+            return None
+        cells = ",".join(lines).split(",")
+        del text, lines
+        try:
+            src.extend(map(ids.__getitem__, cells[0::4]))
+            dst.extend(map(ids.__getitem__, cells[1::4]))
+        except KeyError:  # an account nodes.csv lacks
+            return None
+        for column, digits in ((flux, cells[2::4]), (mult, cells[3::4])):
+            if not _all_digits(digits):
+                return None
+            column.extend(map(int, digits))
+        del cells
+    if 0 in flux or 0 in mult:
+        return None
+    keys = array("Q", _pair_keys(src, dst))
+    ascending = keys and all(map(operator.lt, keys, keys[1:]))
+    bounds = (keys[0], keys[-1]) if ascending else (None, None)
+    return src.tobytes(), dst.tobytes(), _packed(flux), _packed(mult), bounds
+
+
+def _pair_keys(src: Iterable[int], dst: Iterable[int]) -> Iterator[int]:
+    """The packed pair key, s << ID_BITS | r, of each edge s -> r."""
+    return map(operator.or_, map(operator.lshift, src, repeat(ID_BITS)), dst)
+
+
+def _all_digits(cells: list[str]) -> bool:
+    """Whether each cell is 1 to MAX_INT_DIGITS ASCII digits."""
+    digits = "".join(cells)
+    return (all(cells) and digits.isdigit() and digits.isascii()
+            and max(map(len, cells)) <= MAX_INT_DIGITS)
+
+
+def _packed(ints: list[int]) -> bytes | list[int]:
+    """ints as array('q') bytes, or as they are where one is wider."""
+    try:
+        return array("q", ints).tobytes()
+    except OverflowError:
+        return ints

@@ -451,11 +451,12 @@ def ingest_blocks(
     _raise_first_error(path, start_block, on_error)
 
 
-def _blocks(fh) -> list[tuple[int, int]]:
-    """(start, end) byte offsets cutting the binary file fh into blocks of
-    at least BLOCK_BYTES, each ending after a newline, but the last."""
+def _blocks(fh, start: int = 0) -> list[tuple[int, int]]:
+    """(start, end) byte offsets cutting the binary file fh, from offset
+    start on, into blocks of at least BLOCK_BYTES, each ending after a
+    newline, but the last."""
     size = os.fstat(fh.fileno()).st_size
-    starts = [0]
+    starts = [start]
     while starts[-1] + BLOCK_BYTES < size:
         fh.seek(starts[-1] + BLOCK_BYTES - 1)
         fh.readline()
@@ -508,6 +509,7 @@ def _parsed(fd: int, blocks, parse, waited) -> Iterator:
             if mine is None:
                 break
             yield result
+            del result  # not held while the next block is parsed
             done = mine + 1
             mine = claims.take(running)
     finally:

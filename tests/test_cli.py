@@ -554,12 +554,17 @@ class TestMalformedFiles:
         assert files_under(tmp_path) == ["bad.jsonl"]
 
 
+def checkout_env() -> dict:
+    """The environment of a fresh python process that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
 def run_module(argv):
     """Run python with argv in a fresh process that imports this checkout."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=checkout_env())
 
 
 def run_pipeline(path, outdir, labels=None, extra=()):
@@ -889,13 +894,11 @@ def is_write_leftover(rel: str) -> bool:
                     reason="needs os.fork and /proc")
 def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger):
     """SIGKILL run --verify, over a ledger of many blocks, at random
-    moments: within CHILD_BOUND_S no process of its session is left, and
-    its output either has no manifest.json or is complete. Every visible
-    file is the complete run's, and every hidden one a write's leftover."""
+    moments while it writes: within CHILD_BOUND_S no process of its
+    session is left, and its output either has no manifest.json or is
+    complete. Every visible file is the complete run's, and every hidden
+    one a write's leftover."""
     root, path, _ = ledger
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
 
     def start(out):
         code = ("import sys; from fluxgraph import cli, records; "
@@ -903,20 +906,31 @@ def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger)
                 f"sys.exit(cli.main(['run', '--input', {path!r}, '--output', {str(out)!r}, "
                 f"'--labels', {os.path.join(str(root), 'labels.csv')!r}, '--verify', "
                 "'--quiet']))")
-        return subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return subprocess.Popen([sys.executable, "-c", code], env=checkout_env(),
+                                start_new_session=True, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+
+    def appeared(proc, path) -> float:
+        """When path appears (or proc ends)."""
+        while not path.exists() and proc.poll() is None:
+            time.sleep(0.001)
+        return time.perf_counter()
 
     assert os.path.getsize(path) > 4 << 14
-    t0 = time.perf_counter()
     whole = start(tmp_path / "whole")
+    # the run writes from graph/, its first output, to manifest.json
+    t0 = appeared(whole, tmp_path / "whole" / "graph")
+    took = appeared(whole, tmp_path / "whole" / "manifest.json") - t0
     assert whole.wait() == 0
-    took = time.perf_counter() - t0
     complete = files_under(tmp_path / "whole")
     rng = random.Random(os.getpid())
     rounds = 8
+    cut = 0  # rounds killed before their manifest
     for i in range(rounds):
         out = tmp_path / f"killed-{i}"
         proc = start(out)
+        # spread over the writes, not over the interpreter's start-up
+        appeared(proc, out / "graph")
         time.sleep(took * (i + rng.random()) / rounds)
         proc.kill()
         proc.wait()
@@ -924,9 +938,12 @@ def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger)
         while session_processes(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert session_processes(proc.pid) == [], f"round {i}"
+        assert (out / "graph").is_dir(), f"round {i}"
         if (out / "manifest.json").exists():
             assert [f for f in files_under(out)
                     if not any(part.startswith(".") for part in f.split(os.sep))] == complete
+        else:
+            cut += 1
         for rel in files_under(out):
             if any(part.startswith(".") for part in rel.split(os.sep)):
                 assert is_write_leftover(rel), f"round {i}: {rel}"
@@ -934,6 +951,56 @@ def test_killed_parent_leaves_no_process_and_no_false_manifest(tmp_path, ledger)
                 assert rel in complete, f"round {i}: {rel}"
                 assert (out / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes(), \
                     f"round {i}: {rel}"
+    assert cut, "every round was killed after its manifest"
+
+
+# How long the loader child of a command that reads graph/ outlives a
+# parent killed with SIGKILL: it finishes the block it parses and leaves
+# (README). Here a block is 16 KiB, parsed in a few milliseconds.
+LOADER_BOUND_S = 2.0
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")),
+                    reason="needs os.fork and /proc")
+def test_killed_loader_leaves_no_process(tmp_path):
+    """SIGKILL fluxgraph stats while its loader child parses blocks of
+    edges.csv: within LOADER_BOUND_S no process of its session is left."""
+    from fluxgraph.graph import AggregatedGraph, save_graph
+
+    rng = random.Random(11)
+    g = AggregatedGraph()
+    for _ in range(30_000):
+        g.add_transfer(f"u{rng.randrange(8000):05d}", f"u{rng.randrange(8000):05d}",
+                       rng.randrange(1, 10**12))
+    directory = str(tmp_path / "graph")
+    save_graph(g, directory)
+    assert os.path.getsize(os.path.join(directory, "edges.csv")) > 16 << 14
+    code = "\n".join([
+        "import os, sys",
+        "from fluxgraph import cli, records",
+        "records.BLOCK_BYTES = 1 << 14",
+        "fork = os.fork",
+        "def announced():  # the parent says when it has forked the loader child",
+        "    pid = fork()",
+        "    if pid:",
+        "        print('forked', flush=True)",
+        "    return pid",
+        "os.fork = announced",
+        f"sys.exit(cli.main(['stats', '--graph', {directory!r}, '--quiet']))",
+    ])
+    for i in range(5):
+        proc = subprocess.Popen([sys.executable, "-c", code], env=checkout_env(),
+                                start_new_session=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        with proc.stdout:
+            assert proc.stdout.readline() == b"forked\n", f"round {i}"
+            time.sleep(rng.random() * 0.02)
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + LOADER_BOUND_S
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert session_processes(proc.pid) == [], f"round {i}"
 
 
 class TestConfigPrecedence:

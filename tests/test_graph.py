@@ -1,17 +1,25 @@
 """Aggregated graph construction, degree ranking and persistence."""
 
+import contextlib
+import csv
+import io
+import os
 import tracemalloc
 from array import array
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import degree, edge, neighbor_count, neighbors, out_flux, random_transfers
-from fluxgraph import cli, graph as graph_module
+from conftest import (
+    assert_no_child, degree, edge, neighbor_count, neighbors, out_flux, random_transfers,
+)
+from fluxgraph import cli, graph as graph_module, records
 from fluxgraph.errors import MalformedRecordError, UnknownAccountError
 from fluxgraph.exchanges import DetectionParams
 from fluxgraph.graph import (
+    EDGES_HEADER,
     AccountMap,
     AggregatedGraph,
     build_graph,
@@ -22,6 +30,7 @@ from fluxgraph.graph import (
 )
 from fluxgraph.records import TransferRecord, ingest
 from fluxgraph.synth import config_from_dict, generate
+from fluxgraph.tables import MAX_INT_DIGITS, write_table
 
 ACCOUNTS = st.sampled_from([f"u{i}" for i in range(8)])
 TRIPLES = st.lists(
@@ -186,6 +195,230 @@ class TestPersistence:
         (tmp_path / "nodes.csv").write_bytes(b"account\na\n\xff\n")
         with pytest.raises(MalformedRecordError, match="nodes.csv"):
             load_graph(str(tmp_path))
+
+
+# -- load_graph's blocks against its row loop, save_graph against csv ----
+
+# Account names csv.writer writes as they are: spaces, non-ASCII text,
+# the empty name; and names it quotes (a comma, a quote, a line break).
+PLAIN_TEXT = st.text(st.sampled_from(list("ab é名")), max_size=4)
+NAME_TEXT = st.text(st.sampled_from(list('ab,"\r\n é名')), max_size=4)
+# Values that fit array('q') and values wider than 64 bits.
+WEIGHTS = st.one_of(st.integers(1, 10**6), st.integers(2**63 - 2, 2**64))
+
+
+@st.composite
+def saved_edges(draw) -> list[tuple]:
+    """(sender, recipient, flux, multiplicity) rows over a few accounts:
+    half the time all plain, so that the block parse takes them, and
+    half the time with values that all fit array('q')."""
+    text = st.one_of(PLAIN_TEXT, NAME_TEXT) if draw(st.booleans()) else PLAIN_TEXT
+    names = st.sampled_from(draw(st.lists(text, min_size=1, max_size=8, unique=True)))
+    weights = WEIGHTS if draw(st.booleans()) else st.integers(1, 10**6)
+    return draw(st.lists(st.tuples(names, names, weights, weights), min_size=1, max_size=30))
+
+
+CORRUPTIONS = [None, "zero_flux", "12x", "digits", "unknown", "repeat", "repeat_next",
+               "reversed", "width", "xff", "lf", "unquoted", "header", "lf_header",
+               "nodes_repeat", "nodes_blank", "nodes_lf"]
+
+
+def saved_graph(edges) -> AggregatedGraph:
+    g = AggregatedGraph()
+    for sender, recipient, flux, mult in edges:
+        g.add_edge(sender, recipient, flux, mult)
+    return g
+
+
+def corrupt(directory, how: str, data) -> None:
+    """Rewrite a saved graph's nodes.csv or edges.csv with one fault, or
+    in another layout or order that reads as the same graph."""
+    if how.startswith("nodes_"):
+        path = directory / "nodes.csv"
+        lines = path.read_bytes().split(b"\r\n")[:-1]
+        if how == "nodes_repeat":
+            lines.append(lines[-1])
+        elif how == "nodes_blank":
+            lines.insert(data.draw(st.integers(1, len(lines))), b"")
+        end = b"\n" if how == "nodes_lf" else b"\r\n"
+        path.write_bytes(b"".join(line + end for line in lines))
+        return
+    path = directory / "edges.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    if how == "zero_flux":
+        row[2] = "0"
+    elif how == "12x":
+        row[data.draw(st.sampled_from([2, 3]))] = "12x"
+    elif how == "digits":
+        row[data.draw(st.sampled_from([2, 3]))] = "0" * MAX_INT_DIGITS + "5"
+    elif how == "unknown":
+        row[data.draw(st.sampled_from([0, 1]))] = "nobody"
+    elif how == "repeat":  # blocks away from the row it repeats, where blocks are small
+        rows.append(list(rows[0]))
+    elif how == "repeat_next":
+        rows.insert(rows.index(row), list(row))
+    elif how == "reversed":
+        rows.reverse()
+    elif how == "width":
+        row.append("7") if data.draw(st.booleans()) else row.pop()
+    elif how == "header":
+        header[2] = "flux"
+    ends = "\n" if how == "lf" else "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + ("\n" if how == "lf_header" else ends))
+        if how == "unquoted":  # cells that need quotes, without them
+            fh.writelines(",".join(row) + ends for row in rows)
+        else:
+            csv.writer(fh, lineterminator=ends).writerows(rows)
+    if how == "xff":
+        raw = path.read_bytes()
+        at = data.draw(st.integers(len(graph_module._EDGES_HEADER_LINE), len(raw)))
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+
+
+@contextlib.contextmanager
+def refusing_fast_paths():
+    """load_graph as its row loop alone: the whole-file read of nodes.csv
+    and the block parser of edges.csv refuse every input."""
+    with mock.patch.object(graph_module, "_nodes_at_once", lambda *args: None), \
+            mock.patch.object(graph_module, "_edge_block", lambda *args, **kwargs: None):
+        yield
+
+
+def loaded(directory) -> tuple:
+    """load_graph(directory) as its names and table, or the type, text,
+    path and line of what it raises."""
+    try:
+        g = load_graph(str(directory))
+    except MalformedRecordError as exc:
+        return type(exc), str(exc), exc.path, exc.line_no
+    return g.names, g.src, g.dst, g.flux, g.mult
+
+
+class TestBlockLoader:
+    """load_graph over edges.csv files of many tiny blocks, against its
+    row loop over the whole directory."""
+
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    @settings(max_examples=20)
+    @given(edges=saved_edges(), data=st.data())
+    def test_blocks_match_the_row_loop(self, tmp_path_factory, how, edges, data):
+        directory = tmp_path_factory.mktemp("graph")
+        save_graph(saved_graph(edges), str(directory))
+        edges_path = directory / "edges.csv"
+        if how is not None:
+            corrupt(directory, how, data)
+        block = data.draw(st.integers(1, 200))
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        with mock.patch.object(records, "BLOCK_BYTES", block), \
+                mock.patch.object(os, "fork", counted):
+            blocks = loaded(directory)
+        assert_no_child()
+        with refusing_fast_paths():
+            rows = loaded(directory)
+        assert blocks == rows
+        if how is None:
+            assert rows[0] == sorted(rows[0])
+        # one child exactly where nodes.csv reads and edges.csv has
+        # save_graph's header and at least two blocks after it
+        nodes_fault = isinstance(rows[0], type) and rows[2].endswith("nodes.csv")
+        with open(edges_path, "rb") as fh, mock.patch.object(records, "BLOCK_BYTES", block):
+            several = (not nodes_fault and fh.readline() == graph_module._EDGES_HEADER_LINE
+                       and len(records._blocks(fh, fh.tell())) >= 2)
+        assert len(forks) == several
+        assert_no_child()
+
+    @pytest.mark.parametrize("names, rows", [
+        pytest.param(["ab", '"a"b'], ['"a"b,ab,1,1'], id="quote_opens_a_cell"),
+        pytest.param(["a\rb", "c"], ["a\rb,c,1,1"], id="bare_cr"),
+        pytest.param(["a\nb", "c"], ["a\nb,c,1,1"], id="bare_lf"),
+        pytest.param(["1", "2"], ["1,2,1,1,2", "1,1,1"], id="widths_that_add_up"),
+        pytest.param(["a", "b"], ["a,b,\uff11,1"], id="fullwidth_digit"),
+        pytest.param(["a", "b"], ["a,a,1,1", "a,b,1,1", "a,b,1,1"], id="repeat_past_a_block"),
+    ])
+    def test_cells_the_row_loop_reads_otherwise(self, tmp_path, monkeypatch, names, rows):
+        """Lines whose cells split on commas read otherwise, or not at
+        all, in the csv module: the blocks give the row loop's outcome.
+        A block here is one or two lines."""
+        write_table(str(tmp_path / "nodes.csv"), ["account"], [[name] for name in names])
+        (tmp_path / "edges.csv").write_bytes(
+            (",".join(EDGES_HEADER) + "\r\n" + "".join(row + "\r\n" for row in rows)).encode())
+        monkeypatch.setattr(records, "BLOCK_BYTES", 10)
+        blocks = loaded(tmp_path)
+        with refusing_fast_paths():
+            assert blocks == loaded(tmp_path)
+        assert_no_child()
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param(["a\rb", "c"], id="bare_cr"),
+        pytest.param(["a\nb", "c"], id="bare_lf"),
+        pytest.param(["a,b", "c"], id="comma"),
+        pytest.param(['"a"', "c"], id="quoted"),
+        pytest.param(["a", "", "c"], id="blank_line"),
+    ])
+    def test_nodes_the_row_loop_reads_otherwise(self, tmp_path, lines):
+        """nodes.csv lines that the csv module reads otherwise, or not at
+        all: the whole-file read gives the row loop's outcome."""
+        (tmp_path / "nodes.csv").write_bytes(
+            "".join(line + "\r\n" for line in ["account", *lines]).encode())
+        (tmp_path / "edges.csv").write_bytes((",".join(EDGES_HEADER) + "\r\nc,c,1,1\r\n").encode())
+        at_once = loaded(tmp_path)
+        with refusing_fast_paths():
+            assert at_once == loaded(tmp_path)
+
+    def test_block_results_are_compact(self, tmp_path):
+        """A block's ids and ints cross the pipe as array('q') bytes, and
+        as a list only for a column with a value wider than 64 bits."""
+        save_graph(saved_graph([("a", "b", 5, 1), ("b", "a", 2**64, 2)]), str(tmp_path))
+        g = graph_module._read_nodes(str(tmp_path / "nodes.csv"))
+        with open(tmp_path / "edges.csv", "rb") as fh:
+            start = len(fh.readline())
+            size = os.fstat(fh.fileno()).st_size
+            src, dst, flux, mult, bounds = graph_module._edge_block(fh.fileno(), start, size,
+                                                                     g.ids)
+        assert (src, dst) == (array("q", [0, 1]).tobytes(), array("q", [1, 0]).tobytes())
+        assert flux == [5, 2**64] and mult == array("q", [1, 2]).tobytes()
+        assert bounds == (1, 1 << graph_module.ID_BITS)  # the packed keys of a->b and b->a
+
+
+CSV_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"))
+
+
+@given(st.lists(CSV_TEXT, min_size=1, max_size=6))
+def test_cells_are_csv_writer_cells(names):
+    """A name's cell is what csv.writer writes for it in a row of several."""
+    cells = graph_module._cells(names)
+    for i, name in enumerate(names):
+        row = [name, names[-1 - i], 2**70, 3]
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        assert buf.getvalue() == "%s,%s,%d,%d\r\n" % (cells[i], cells[-1 - i], 2**70, 3)
+
+
+def test_plain_names_are_their_own_cells():
+    names = ["a", " b ", "ünï", "名前", ""]
+    assert graph_module._cells(names) is names
+    assert graph_module._cells(names + ["c,d"]) == names + ['"c,d"']
+
+
+@given(st.lists(st.tuples(CSV_TEXT, CSV_TEXT, WEIGHTS, WEIGHTS), max_size=30))
+def test_save_graph_writes_write_tables_bytes(tmp_path_factory, edges):
+    g = saved_graph(edges)
+    directory = tmp_path_factory.mktemp("saved")
+    save_graph(g, str(directory / "graph"))
+    write_table(str(directory / "nodes.csv"), ["account"], [[name] for name in sorted(g.names)])
+    write_table(str(directory / "edges.csv"), EDGES_HEADER,
+                sorted((s, r, a.flux, a.multiplicity) for s, r, a in g.edges()))
+    for name in ("nodes.csv", "edges.csv"):
+        assert (directory / "graph" / name).read_bytes() == (directory / name).read_bytes()
 
 
 class TestAccountMap:
