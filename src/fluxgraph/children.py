@@ -98,15 +98,6 @@ class Child:
         self.waited += time.perf_counter() - t0
         return _END if data is None else marshal.loads(data)
 
-    def running(self) -> bool:
-        """False once the child has exited; reaps it then."""
-        if self._status is None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid == 0:
-                return True
-            self._status = os.waitstatus_to_exitcode(status)
-        return False
-
     def wait(self) -> int:
         """Close the pipe, reap the child and return its exit code. A child
         still sending gets a broken pipe and leaves."""

@@ -44,7 +44,7 @@ from itertools import accumulate, repeat
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import MalformedRecordError, UnknownAccountError
-from .records import TransferRecord, _blocks, _parsed
+from .records import TransferRecord, parsed_blocks
 from .tables import MAX_INT_DIGITS, atomic_output, read_table, write_table
 
 # Width of one node id in a packed pair key: two distinct id pairs never
@@ -158,8 +158,10 @@ class AggregatedGraph:
         if r is None:
             r = self._intern(recipient)
         index = self._index
-        if index is None:
-            index = self._reindex()
+        if index is None:  # worked out from the table
+            index = self._index = {
+                u << ID_BITS | v: e for e, (u, v) in enumerate(zip(self.src, self.dst))
+            }
         key = s << ID_BITS | r
         e = index.get(key)
         if e is None:
@@ -173,13 +175,6 @@ class AggregatedGraph:
             self.flux[e] += flux
             self.mult[e] += mult
         self._degrees = None
-
-    def _reindex(self) -> dict[int, int]:
-        """Work out the dedup index from the table."""
-        index = self._index = {
-            s << ID_BITS | r: e for e, (s, r) in enumerate(zip(self.src, self.dst))
-        }
-        return index
 
     def compact(self) -> None:
         """Drop the dedup index, the degrees and the adjacency, keeping
@@ -451,10 +446,10 @@ def load_graph(directory: str) -> AggregatedGraph:
     Past its header, edges.csv is read in line-aligned blocks of
     records.BLOCK_BYTES by the ledger's block engine: where it spans two
     blocks or more, a forked child parses some of them (see
-    records.ingest_blocks). A header other than save_graph's, a quote,
-    a fault or bytes that are not UTF-8 send the whole directory through
-    the row loop instead, whose error names the file and line of the
-    first fault.
+    records.parsed_blocks). A header other than save_graph's, a quote,
+    a fault, bytes that are not UTF-8 or edges out of save_graph's key
+    order send the whole directory through the row loop instead, whose
+    error names the file and line of the first fault.
     """
     nodes_path = os.path.join(directory, NODES_FILE)
     edges_path = os.path.join(directory, EDGES_FILE)
@@ -535,37 +530,22 @@ def _fold_edge_rows(g: AggregatedGraph, path: str) -> None:
 
 def _fold_edge_blocks(g: AggregatedGraph, path: str) -> bool:
     """Fold edges.csv into g block by block, in file order; False, with g
-    part-folded, where the row loop must read it. While the blocks'
-    packed pair keys ascend, as in save_graph's order, no edge can
-    repeat; from the first block out of that order on, the dedup index
-    finds a repeated one."""
+    part-folded, where the row loop must read it. Each block's packed
+    pair keys strictly ascend (see _edge_block), and so must the
+    blocks', as in save_graph's order: then no edge can repeat."""
     parse = functools.partial(_edge_block, ids=g.ids)
     nodes = list(g.ids.values())  # nodes[i] is the ids dict's own int for node i
-    src, dst = g.src, g.dst
-    index = None
-    last = -1  # the largest key so far, while the keys ascend
+    last = -1  # the largest key so far
     with open(path, "rb") as fh:
         if fh.readline() != _EDGES_HEADER_LINE:
             return False
-        blocks = _blocks(fh, fh.tell())
-        with contextlib.closing(_parsed(fh.fileno(), blocks, parse, None)) as results:
+        with contextlib.closing(parsed_blocks(fh, parse)) as results:
             for result in results:
-                if result is None:
+                if result is None or result[4] <= last:
                     return False
-                senders, recipients = array("q", result[0]), array("q", result[1])
-                first, end = result[4]
-                if index is None and first is not None and first > last:
-                    last = end
-                else:
-                    if index is None:
-                        index = g._reindex()
-                    size = len(src) + len(senders)
-                    index.update(zip(_pair_keys(senders, recipients), range(len(src), size)))
-                    if len(index) != size:  # an edge appears twice
-                        return False
-                src.extend(map(nodes.__getitem__, senders))
-                dst.extend(map(nodes.__getitem__, recipients))
-                del senders, recipients
+                last = result[5]
+                g.src.extend(map(nodes.__getitem__, array("q", result[0])))
+                g.dst.extend(map(nodes.__getitem__, array("q", result[1])))
                 for column, values in zip((g.flux, g.mult), result[2:4]):
                     column.extend(array("q", values) if type(values) is bytes else values)
                 del result
@@ -576,10 +556,10 @@ def _edge_block(fd: int, start: int, end: int, ids: dict[str, int]) -> Optional[
     """The edges in bytes start:end of edges.csv, the file fd, checked as
     the row loop checks them: the sender and recipient ids as array('q')
     bytes; flux and multiplicity, each as array('q') bytes or, where a
-    value is wider, a list; and the first and last packed pair key where
-    the keys ascend, else (None, None). None where a line holds a quote
-    or does not end in CRLF, a cell fails its check, or the bytes are
-    not UTF-8."""
+    value is wider, a list; and the first and last packed pair key.
+    None where a line holds a quote or does not end in CRLF, a cell
+    fails its check, the bytes are not UTF-8, or the keys do not
+    strictly ascend."""
     data = os.pread(fd, end - start, start)
     if b'"' in data:  # a quoted cell, which may hold a line end
         return None
@@ -611,15 +591,10 @@ def _edge_block(fd: int, start: int, end: int, ids: dict[str, int]) -> Optional[
         del cells
     if 0 in flux or 0 in mult:
         return None
-    keys = array("Q", _pair_keys(src, dst))
-    ascending = keys and all(map(operator.lt, keys, keys[1:]))
-    bounds = (keys[0], keys[-1]) if ascending else (None, None)
-    return src.tobytes(), dst.tobytes(), _packed(flux), _packed(mult), bounds
-
-
-def _pair_keys(src: Iterable[int], dst: Iterable[int]) -> Iterator[int]:
-    """The packed pair key, s << ID_BITS | r, of each edge s -> r."""
-    return map(operator.or_, map(operator.lshift, src, repeat(ID_BITS)), dst)
+    keys = array("Q", map(operator.or_, map(operator.lshift, src, repeat(ID_BITS)), dst))
+    if not all(map(operator.lt, keys, keys[1:])):
+        return None
+    return src.tobytes(), dst.tobytes(), _packed(flux), _packed(mult), keys[0], keys[-1]
 
 
 def _all_digits(cells: list[str]) -> bool:

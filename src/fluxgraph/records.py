@@ -15,6 +15,7 @@ dropped and counted by reason. All amounts stay integer Planck end to end.
 ingest_blocks reads a ledger file in line-aligned blocks, parsed by
 two processes where the ledger spans at least two blocks; it yields
 what the caller needs of each block's transfers, in file order.
+parsed_blocks is that block engine, for any file of lines.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import contextlib
 import functools
 import io
 import json
-import mmap
 import os
 import re
-import select
 import struct
+import tempfile
 from dataclasses import astuple, asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
@@ -400,9 +400,9 @@ def transfer_text(transfers: Iterable[TransferRecord]) -> str:
     return "".join([transfer_line(t) + "\n" for t in transfers])
 
 
-# -- one ledger file, parsed in blocks by two processes -----------------
+# -- one file, parsed in blocks by two processes ------------------------
 
-# A ledger is cut into blocks of at least this many bytes, each ending
+# A file is cut into blocks of at least this many bytes, each ending
 # after a newline; one of at least two blocks is parsed by two processes.
 BLOCK_BYTES = 1 << 20
 
@@ -423,16 +423,9 @@ def ingest_blocks(
     finishes) and the first exception are those of ingest() over the
     file opened as UTF-8 text with universal newlines.
 
-    Each block is decoded and filtered as a file of its own. Where there
-    are at least two, a forked child parses some: this process takes
-    block 0 and the child block 1, then each claims the next unclaimed
-    block whenever it is free, so the split balances itself. The child
-    sends each result as soon as it is parsed, and waits while its pipe
-    is full (see children.PIPE_BYTES); waited, when given, gets the
-    seconds spent waiting for the child's results. Where a block raises,
-    the whole file is read again here, so that ingest()'s own exception
-    surfaces. Where os.fork is missing or fails, this process parses
-    every block.
+    Each block is decoded and filtered as a file of its own (see
+    parsed_blocks, which gets waited). Where a block raises, the whole
+    file is read again here, so that ingest()'s own exception surfaces.
     """
     if on_error not in ("fail", "skip"):
         raise ConfigError(f"on_error must be 'fail' or 'skip', got {on_error!r}")
@@ -440,7 +433,7 @@ def ingest_blocks(
     parse = functools.partial(_parse_block, render=render, start_block=start_block,
                               on_error=on_error)
     with open(path, "rb") as fh:
-        with contextlib.closing(_parsed(fh.fileno(), _blocks(fh), parse, waited)) as results:
+        with contextlib.closing(parsed_blocks(fh, parse, waited)) as results:
             for result in results:
                 if result is None:
                     break
@@ -451,11 +444,66 @@ def ingest_blocks(
     _raise_first_error(path, start_block, on_error)
 
 
+def parsed_blocks(fh, parse: Callable, waited: Callable[[float], None] | None = None
+                  ) -> Iterator:
+    """Yield parse(fd, start, end), a marshal-able value or None for a
+    block that failed, for each block of the open binary file fh from
+    its offset on (see _blocks), in file order; fd is fh's descriptor.
+
+    Where there are two blocks or more, this process takes block 0 and a
+    forked child block 1; then each claims the next block whenever it is
+    free, so the split balances itself. The child sends each result once
+    parsed, waiting while its pipe is full (see children.PIPE_BYTES);
+    waited, when given, gets the seconds spent waiting for them. A block
+    the child does not send is parsed here, and so is every block where
+    os.fork is missing or fails or the claims' file cannot be made.
+    """
+    fd = fh.fileno()
+    blocks = _blocks(fh, fh.tell())
+    try:
+        claims = _Claims(len(blocks)) if len(blocks) >= 2 and hasattr(os, "fork") else None
+    except OSError:  # no temporary file for the claims
+        claims = None
+    if claims is None:
+        for block in blocks:
+            yield parse(fd, *block)
+        return
+    child = None
+    try:
+        mine = claims.take()
+        child = Child.start(functools.partial(
+            _claim_blocks, claims, claims.take(), fd, blocks, parse))
+        sent = child.items() if child is not None else iter(())
+        done = 0  # blocks yielded
+        while True:
+            result = None if mine is None else parse(fd, *blocks[mine])
+            # the blocks before this process's next are the child's
+            for i in range(done, len(blocks) if mine is None else mine):
+                # one that failed in the child, or that it did not send, is
+                # parsed here; no name holds it while this process parses
+                yield next(sent, None) or parse(fd, *blocks[i])
+            if mine is None:
+                break
+            yield result
+            del result  # not held while the next block is parsed
+            done = mine + 1
+            mine = claims.take()
+    finally:
+        if child is not None:
+            # a child still parsing meets a closed pipe at its next send
+            child.wait()
+        claims.close()
+    if waited is not None and child is not None:
+        waited(child.waited)
+
+
 def _blocks(fh, start: int = 0) -> list[tuple[int, int]]:
     """(start, end) byte offsets cutting the binary file fh, from offset
     start on, into blocks of at least BLOCK_BYTES, each ending after a
-    newline, but the last."""
+    newline, but the last; none where nothing follows start."""
     size = os.fstat(fh.fileno()).st_size
+    if start >= size:
+        return []
     starts = [start]
     while starts[-1] + BLOCK_BYTES < size:
         fh.seek(starts[-1] + BLOCK_BYTES - 1)
@@ -486,99 +534,50 @@ def _raise_first_error(path: str, start_block: int, on_error: str):
     raise RuntimeError(f"{path}: a block raised where the whole ledger did not")
 
 
-def _parsed(fd: int, blocks, parse, waited) -> Iterator:
-    """parse(fd, *block) of each block, in order, by this process and,
-    where there are two blocks or more, a forked child."""
-    claims = _Claims(len(blocks))
-    child = None
-    try:
-        mine = claims.take()
-        if len(blocks) >= 2:
-            child = Child.start(functools.partial(
-                _claim_blocks, claims, claims.take(), fd, blocks, parse, os.getpid()))
-        running = child.running if child is not None else (lambda: False)
-        sent = child.items() if child is not None else iter(())
-        done = 0  # blocks yielded
-        while True:
-            result = None if mine is None else parse(fd, *blocks[mine])
-            # the blocks before this process's next are the child's
-            for i in range(done, len(blocks) if mine is None else mine):
-                # one that raised in the child, or that it did not send, is
-                # parsed here; no name holds it while this process parses
-                yield next(sent, None) or parse(fd, *blocks[i])
-            if mine is None:
-                break
-            yield result
-            del result  # not held while the next block is parsed
-            done = mine + 1
-            mine = claims.take(running)
-    finally:
-        if child is not None:
-            # a child still parsing meets a closed pipe at its next send
-            child.wait()
-        claims.close()
-    if waited is not None and child is not None:
-        waited(child.waited)
-
-
-def _claim_blocks(claims: "_Claims", first: int, fd: int, blocks, parse,
-                  parent: int) -> Iterator:
-    """The child's part: the result of block first, then of each block it
-    claims in turn. Stops after a block that raised, and when the parent
-    has gone."""
-    def parent_alive() -> bool:
-        return os.getppid() == parent
-
-    i = first
+def _claim_blocks(claims: "_Claims", i: int, fd: int, blocks, parse) -> Iterator:
+    """The child's part: the result of block i, then of each block it
+    claims in turn. Stops after a block that failed. Where the parent
+    has gone, the next send meets a closed pipe, and the child leaves."""
     while i is not None:
         result = parse(fd, *blocks[i])
         yield result
-        if result is None or not parent_alive():
+        if result is None:
             break
-        i = claims.take(parent_alive)
+        i = claims.take()
 
 
 _COUNTER = struct.Struct("q")
 
 
 class _Claims:
-    """Block indices 0..count-1, claimed in order by two processes. The
-    next index lives in an anonymous shared mmap, guarded by one token in
-    a pipe."""
+    """Block indices 0..count-1, claimed in order by this process and a
+    child it forks, through a counter in an unnamed temporary file under
+    a POSIX record lock. The lock belongs to a process, not to a
+    descriptor, so the two exclude each other through the one the child
+    inherits, and the kernel frees it when its holder dies."""
 
     def __init__(self, count: int):
-        self._count = count
-        self._next = mmap.mmap(-1, _COUNTER.size)
-        self._token_r, self._token_w = os.pipe()
-        os.set_blocking(self._token_r, False)
-        os.write(self._token_w, b".")
-
-    def _lock(self, other_alive: Callable[[], bool]) -> bool:
-        """Take the token; False, without it, once the other process has gone."""
-        while True:
-            try:
-                os.read(self._token_r, 1)
-                return True
-            except BlockingIOError:
-                if not other_alive():
-                    return False
-                select.select([self._token_r], [], [], 0.05)
-
-    def take(self, other_alive: Callable[[], bool] = lambda: False) -> Optional[int]:
-        """Claim the next block; None when none is left. Once the other
-        process has gone, goes on without the token."""
-        locked = self._lock(other_alive)
+        import fcntl  # present wherever os.fork is
+        self._count, self._fcntl = count, fcntl
+        self._file = tempfile.TemporaryFile()
         try:
-            i = _COUNTER.unpack_from(self._next)[0]
+            os.pwrite(self._file.fileno(), _COUNTER.pack(0), 0)
+        except OSError:  # no room for the counter
+            self._file.close()
+            raise
+
+    def take(self) -> Optional[int]:
+        """Claim the next block; None when none is left."""
+        fd, fcntl = self._file.fileno(), self._fcntl
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            i = _COUNTER.unpack(os.pread(fd, _COUNTER.size, 0))[0]
             if i >= self._count:
                 return None
-            _COUNTER.pack_into(self._next, 0, i + 1)
+            os.pwrite(fd, _COUNTER.pack(i + 1), 0)
             return i
         finally:
-            if locked:
-                os.write(self._token_w, b".")
+            fcntl.lockf(fd, fcntl.LOCK_UN)
 
     def close(self) -> None:
-        self._next.close()
-        os.close(self._token_r)
-        os.close(self._token_w)
+        self._file.close()

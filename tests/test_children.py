@@ -71,7 +71,7 @@ def test_wait_frees_a_child_blocked_on_a_full_pipe():
     child = Child.start(produce)
     assert next(child.items()) == chunk
     time.sleep(0.2)  # long enough for the child to fill its pipe
-    assert child.running()
+    assert os.waitpid(child.pid, os.WNOHANG) == (0, 0)
 
     def kill(*_):
         os.kill(child.pid, signal.SIGKILL)
@@ -96,9 +96,8 @@ def test_kill_reaps_the_child():
         yield 1
 
     child = Child.start(produce)
-    assert child.running()
+    assert os.waitpid(child.pid, os.WNOHANG) == (0, 0)
     assert child.kill() == -signal.SIGKILL
-    assert not child.running()
     assert child.wait() == -signal.SIGKILL
     assert_no_child()
 

@@ -342,7 +342,11 @@ class TestBlockLoader:
         pytest.param(["a\nb", "c"], ["a\nb,c,1,1"], id="bare_lf"),
         pytest.param(["1", "2"], ["1,2,1,1,2", "1,1,1"], id="widths_that_add_up"),
         pytest.param(["a", "b"], ["a,b,\uff11,1"], id="fullwidth_digit"),
+        # blocks of lines 1-2 and line 3: a block's first edge repeats the last one's
         pytest.param(["a", "b"], ["a,a,1,1", "a,b,1,1", "a,b,1,1"], id="repeat_past_a_block"),
+        # a block a line, each ascending, the two out of order
+        pytest.param(["aa", "bb", "cc", "dd"], ["cc,dd,1,1", "aa,bb,1,1"],
+                     id="blocks_out_of_order"),
     ])
     def test_cells_the_row_loop_reads_otherwise(self, tmp_path, monkeypatch, names, rows):
         """Lines whose cells split on commas read otherwise, or not at
@@ -374,6 +378,19 @@ class TestBlockLoader:
         with refusing_fast_paths():
             assert at_once == loaded(tmp_path)
 
+    def test_header_alone_is_read_as_blocks(self, tmp_path, monkeypatch):
+        """An edges.csv of its header alone is no fault: the row loop is
+        not needed for it."""
+        g = AggregatedGraph()
+        g.add_node("a")
+        save_graph(g, str(tmp_path))
+
+        def row_loop(*args):
+            raise AssertionError("the row loop read edges.csv")
+
+        monkeypatch.setattr(graph_module, "_fold_edge_rows", row_loop)
+        assert loaded(tmp_path) == (["a"], [], [], [], [])
+
     def test_block_results_are_compact(self, tmp_path):
         """A block's ids and ints cross the pipe as array('q') bytes, and
         as a list only for a column with a value wider than 64 bits."""
@@ -382,11 +399,11 @@ class TestBlockLoader:
         with open(tmp_path / "edges.csv", "rb") as fh:
             start = len(fh.readline())
             size = os.fstat(fh.fileno()).st_size
-            src, dst, flux, mult, bounds = graph_module._edge_block(fh.fileno(), start, size,
-                                                                     g.ids)
+            src, dst, flux, mult, first, last = graph_module._edge_block(fh.fileno(), start,
+                                                                         size, g.ids)
         assert (src, dst) == (array("q", [0, 1]).tobytes(), array("q", [1, 0]).tobytes())
         assert flux == [5, 2**64] and mult == array("q", [1, 2]).tobytes()
-        assert bounds == (1, 1 << graph_module.ID_BITS)  # the packed keys of a->b and b->a
+        assert (first, last) == (1, 1 << graph_module.ID_BITS)  # the keys of a->b and b->a
 
 
 CSV_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"))

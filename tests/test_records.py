@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import struct
+import tempfile
 from unittest import mock
 
 import pytest
@@ -664,6 +667,11 @@ def ledger_lines(draw):
     return body + draw(st.sampled_from(["\n", "\n", "\r\n"]))
 
 
+# How long ingest_blocks may take over a few blocks before a test of
+# its claims fails.
+ALARM_S = 10.0
+
+
 class TestBlocks:
     """ingest_blocks, over ledgers of many tiny blocks, against ingest()
     over the whole file."""
@@ -749,4 +757,114 @@ class TestBlocks:
                                             summary=summary))
         assert blocks == lines
         assert (summary.parsed, summary.kept) == (3000, 3000)
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_killed_lock_holder_frees_the_claims(self, tmp_path, monkeypatch):
+        """The child is killed with SIGKILL while it holds the claims' lock,
+        reading the counter: this process still claims and yields every
+        block, as ingest() reads the ledger, within ALARM_S."""
+        from fluxgraph.children import Child
+
+        from conftest import assert_no_child
+
+        lines = [transfer_line(TransferRecord(f"s{i}", f"r{i % 7}", i + 1, i, i)) + "\n"
+                 for i in range(8)]
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("".join(lines))
+        monkeypatch.setattr(records, "BLOCK_BYTES", 1)  # a block a line
+        parent = os.getpid()
+
+        def kill_unless_parent():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        class Dying(struct.Struct):
+            """The counter's format, whose reads, from bytes or from a
+            buffer, kill any process but this."""
+
+            def unpack(self, *args):
+                kill_unless_parent()
+                return super().unpack(*args)
+
+            def unpack_from(self, *args):
+                kill_unless_parent()
+                return super().unpack_from(*args)
+
+        monkeypatch.setattr(records, "_COUNTER", Dying("q"))
+        forks, statuses = [], []
+        fork, wait = os.fork, Child.wait
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        def recorded(child):
+            statuses.append(wait(child))
+            return statuses[-1]
+
+        def timeout(*_):
+            raise TimeoutError("the claims' lock was never freed")
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(Child, "wait", recorded)
+        summary = IngestSummary()
+        previous = signal.signal(signal.SIGALRM, timeout)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+            blocks = list(records.ingest_blocks(str(path), records.transfer_text,
+                                                summary=summary))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        serial = IngestSummary()
+        with open(path, encoding="utf-8") as fh:
+            assert "".join(blocks) == records.transfer_text(ingest(fh, summary=serial))
+        assert blocks == lines and summary == serial
+        assert forks == [1] and statuses == [-signal.SIGKILL]
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_no_claims_file_parses_here(self, tmp_path, monkeypatch):
+        """Where the claims' temporary file cannot be made, ingest_blocks
+        and load_graph parse every block in this process, with the results
+        of one, and fork nothing."""
+        from fluxgraph import graph as graph_module
+        from fluxgraph.graph import build_graph, load_graph, save_graph
+
+        from conftest import assert_no_child
+
+        kept = [TransferRecord(f"s{i}", f"r{i % 7}", i + 1, i, i) for i in range(40)]
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(records.transfer_text(kept))
+        save_graph(build_graph(kept), str(tmp_path / "graph"))
+        one_block = load_graph(str(tmp_path / "graph"))
+        made, forks = [], []
+        fork = os.fork
+
+        def failing(*args, **kwargs):
+            made.append(1)
+            raise OSError("no temporary directory")
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        def row_loop(*args):
+            raise AssertionError("the row loop read edges.csv")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(graph_module, "_fold_edge_rows", row_loop)
+        monkeypatch.setattr(records, "BLOCK_BYTES", 64)
+        summary = IngestSummary()
+        rows = records.transfer_rows
+        assert [t for block in records.ingest_blocks(str(path), rows, summary=summary)
+                for t in block] == rows(kept)
+        assert (summary.parsed, summary.kept) == (40, 40)
+        g = load_graph(str(tmp_path / "graph"))
+        assert ((g.names, g.src, g.dst, g.flux, g.mult)
+                == (one_block.names, one_block.src, one_block.dst, one_block.flux,
+                    one_block.mult))
+        assert len(made) == 2 and forks == []
         assert_no_child()
