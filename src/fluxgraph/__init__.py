@@ -38,7 +38,6 @@ from .graph import (
     AggregatedGraph,
     EdgeAggregate,
     GraphStats,
-    build_graph,
     degree_centrality_ranking,
     graph_stats,
     load_graph,
@@ -90,7 +89,6 @@ from .synth import (
     ScenarioConfig,
     generate,
     generate_to_file,
-    load_ground_truth,
     save_ground_truth,
 )
 
@@ -102,7 +100,7 @@ __all__ = [
     "PLANCK_PER_DOT", "POLKADOT_TRANSFER_START_BLOCK",
     "TransferRecord", "IngestSummary", "parse_record", "ingest", "is_transfer_call",
     "dot_to_planck", "read_transfers", "write_transfers",
-    "AggregatedGraph", "EdgeAggregate", "GraphStats", "build_graph",
+    "AggregatedGraph", "EdgeAggregate", "GraphStats",
     "degree_centrality_ranking", "graph_stats", "save_graph", "load_graph",
     "DetectionParams", "ExchangeCluster", "Coloring", "is_deposit_address",
     "classify_exchange", "detect_exchanges", "merge_clusters", "build_coloring",
@@ -116,5 +114,5 @@ __all__ = [
     "cluster_size_histogram", "build_report", "check_conservation",
     "render_report_text", "save_report",
     "ScenarioConfig", "ExchangeSpec", "GroundTruth", "generate",
-    "generate_to_file", "save_ground_truth", "load_ground_truth",
+    "generate_to_file", "save_ground_truth",
 ]

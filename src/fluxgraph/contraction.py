@@ -18,9 +18,9 @@ exists for tests and for the --verify pipeline flag, and stays
 deliberately naive. Both feed the same deterministic numbering rule, so
 equal quotients get equal ids. canonical_form() keys clusters by their
 sorted member sets so outputs can be compared across processing orders,
-byte for byte; quotient_rows() is an exact, marshal-able form of one
-contraction, and quotient_frames() the same in bounded pieces, which
---verify compares across processes as they arrive.
+byte for byte; quotient_frames() is an exact, marshal-able form of one
+contraction in bounded pieces, which --verify compares across processes
+as they arrive.
 
 Accounting is conserved exactly: member counts sum to the original
 order, intra plus cross transfer counts to the original transaction
@@ -319,34 +319,6 @@ def verify_contraction(contracted: ContractedGraph) -> bool:
     return True
 
 
-def quotient_rows(
-    names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
-) -> tuple[list[tuple], list[tuple], bytes]:
-    """An exact, marshal-able form of a contraction of the graph whose
-    accounts are names: the node rows (key and all five fields) and the
-    edge rows (key, flux and multiplicity), each sorted, and the cluster
-    id of each of names as array('q') bytes. Two contractions of one
-    graph are equal iff their forms are. Raises VerificationError when
-    the assignment covers a different number of accounts than names."""
-    return tuple(_quotient_sections(names, contracted, assignment))
-
-
-def _quotient_sections(
-    names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
-) -> Iterator:
-    """quotient_rows' three parts, each built once the last is let go."""
-    if len(assignment) != len(names):
-        raise VerificationError(f"cluster assignment covers {len(assignment)} accounts, "
-                                f"not the graph's {len(names)}")
-    yield sorted(
-        (cid, n.cluster_id, n.color, n.member_count, n.intra_flux, n.intra_tx_count)
-        for cid, n in contracted.nodes.items()
-    )
-    yield sorted((src, dst, agg.flux, agg.multiplicity)
-                 for (src, dst), agg in contracted.edges.items())
-    yield array("q", map(assignment.__getitem__, names)).tobytes()
-
-
 # Rows per frame of quotient_frames; an assignment frame holds the cluster
 # ids of as many accounts.
 FRAME_ROWS = 1 << 12
@@ -356,13 +328,29 @@ _FRAME_SECTIONS = ("nodes", "edges", "assignment")
 def quotient_frames(
     names: list[str], contracted: ContractedGraph, assignment: ClusterAssignment
 ) -> Iterator[tuple[str, object]]:
-    """quotient_rows(names, contracted, assignment) in bounded, marshal-able
-    frames, each part built only when the last has been sent: ("nodes",
-    up to FRAME_ROWS node rows)..., then the edge rows as "edges", then
-    the assignment bytes as "assignment". Two contractions of one graph
-    give equal frame sequences iff they give equal rows."""
-    parts = _quotient_sections(names, contracted, assignment)
-    for section, part in zip(_FRAME_SECTIONS, parts):
+    """An exact, marshal-able form of a contraction of the graph whose
+    accounts are names, in bounded frames, each part built only when the
+    last has been sent: the sorted node rows (key and all five fields)
+    as ("nodes", up to FRAME_ROWS rows)..., then the sorted edge rows
+    (key, flux and multiplicity) as "edges", then the cluster id of each
+    of names, as array('q') bytes, as "assignment". Two contractions of
+    one graph are equal iff their frame sequences are. Raises
+    VerificationError, once iterated, when the assignment covers a
+    different number of accounts than names."""
+    if len(assignment) != len(names):
+        raise VerificationError(f"cluster assignment covers {len(assignment)} accounts, "
+                                f"not the graph's {len(names)}")
+
+    def parts() -> Iterator:
+        yield sorted(
+            (cid, n.cluster_id, n.color, n.member_count, n.intra_flux, n.intra_tx_count)
+            for cid, n in contracted.nodes.items()
+        )
+        yield sorted((src, dst, agg.flux, agg.multiplicity)
+                     for (src, dst), agg in contracted.edges.items())
+        yield array("q", map(assignment.__getitem__, names)).tobytes()
+
+    for section, part in zip(_FRAME_SECTIONS, parts()):
         step = FRAME_ROWS * (8 if section == "assignment" else 1)
         for start in range(0, len(part), step):
             yield section, part[start:start + step]
@@ -406,29 +394,6 @@ def canonical_form(contracted: ContractedGraph, assignment: ClusterAssignment) -
     for src_i, dst_i, flux, mult in edge_lines:
         lines.append(f"E{_SEP}{src_i}{_SEP}{dst_i}{_SEP}{flux}{_SEP}{mult}")
     return "\n".join(lines).encode("utf-8")
-
-
-def as_aggregated(contracted: ContractedGraph) -> tuple[AggregatedGraph, Coloring]:
-    """View a quotient as a plain graph whose nodes are the cluster ids.
-
-    Intra statistics become self-loops, so contracting the view under
-    its own colors reproduces the original canonical form exactly.
-    """
-    g = AggregatedGraph()
-    for cid, node in contracted.nodes.items():
-        account = str(cid)
-        g.add_node(account)
-        if node.intra_tx_count:
-            g.add_edge(account, account, node.intra_flux, node.intra_tx_count)
-    for (src, dst), agg in contracted.edges.items():
-        g.add_edge(str(src), str(dst), agg.flux, agg.multiplicity)
-    # node i of g is the i-th cluster
-    return g, Coloring(g, array("q", [node.color for node in contracted.nodes.values()]))
-
-
-def identity_assignment(contracted: ContractedGraph) -> ClusterAssignment:
-    """Assignment for the as_aggregated() view: each cluster is itself."""
-    return {str(cid): cid for cid in contracted.nodes}
 
 
 # -- persistence ------------------------------------------------------

@@ -20,7 +20,7 @@ and which folding keeps up to date; degrees[i], the transfers in and out
 of node i with a self-loop's counted once; and adjacency(), the edge ids
 grouped by source and by target behind two offset arrays of one machine
 word per node. The last two are kept until a fold changes them.
-compact() drops all three once their last reader is done; build_graph
+compact() drops all three once their last reader is done; fold_rows
 and load_graph call it when their fold ends.
 
 Values that belong to nodes, such as a coloring or a cluster assignment,
@@ -44,7 +44,7 @@ from itertools import accumulate, repeat
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import MalformedRecordError, UnknownAccountError
-from .records import TransferRecord, parsed_blocks
+from .records import parsed_blocks
 from .tables import MAX_INT_DIGITS, atomic_output, read_table, write_table
 
 # Width of one node id in a packed pair key: two distinct id pairs never
@@ -132,21 +132,11 @@ class AggregatedGraph:
         self._degrees = self._adjacency = None
         return node
 
-    def add_node(self, account: str) -> None:
-        if account not in self.ids:
-            self._intern(account)
-
     def add_transfer(self, sender: str, recipient: str, amount: int) -> None:
         """Fold one transfer into the aggregate. amount must be positive."""
         if amount <= 0:
             raise ValueError("transfer amount must be positive")
         self._bump(sender, recipient, amount, 1)
-
-    def add_edge(self, sender: str, recipient: str, flux: int, multiplicity: int) -> None:
-        """Fold a pre-aggregated edge in (used when loading from disk)."""
-        if flux <= 0 or multiplicity <= 0:
-            raise ValueError("edge flux and multiplicity must be positive")
-        self._bump(sender, recipient, flux, multiplicity)
 
     def _bump(self, sender: str, recipient: str, flux: int, mult: int) -> None:
         # the id lookups are inlined: this runs once per transfer
@@ -210,9 +200,6 @@ class AggregatedGraph:
         names = self.names
         for s, r, flux, mult in zip(self.src, self.dst, self.flux, self.mult):
             yield names[s], names[r], EdgeAggregate(flux, mult)
-
-    def has_node(self, account: str) -> bool:
-        return account in self.ids
 
     def id_of(self, account: str) -> int:
         try:
@@ -327,13 +314,9 @@ class _AccountItems(ItemsView):
         return zip(self._mapping, self._mapping._values())
 
 
-def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
-    """Aggregate a transfer stream; the result is independent of input order."""
-    return fold_rows((t.sender, t.recipient, t.amount_planck) for t in transfers)
-
-
 def fold_rows(rows: Iterable[tuple[str, str, int]]) -> AggregatedGraph:
-    """build_graph over (sender, recipient, amount) rows."""
+    """Aggregate a stream of (sender, recipient, amount) rows; the result
+    is independent of input order."""
     g = AggregatedGraph()
     for row in rows:
         g.add_transfer(*row)
@@ -505,7 +488,7 @@ def _fold_edge_rows(g: AggregatedGraph, path: str) -> None:
     names, src = g.names, g.src
     known = len(names)
     # Each row is checked here, where its line is known, and then goes
-    # straight to _bump, as add_edge would only check it again. A fault
+    # straight to _bump, which does not check it. A fault
     # shows in the graph's own state, as a known account or a length
     # that did or did not grow: no per-row set.
     for line, (sender, recipient, flux, multiplicity) in read_table(

@@ -188,10 +188,6 @@ class GroundTruth:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroundTruth":
-        return cls(**dict(data, exchanges=[PlantedExchange(**e) for e in data["exchanges"]]))
-
 
 GROUND_TRUTH_FILE = "ground_truth.json"
 LABELS_FILE = "labels.csv"
@@ -202,11 +198,6 @@ def save_ground_truth(truth: GroundTruth, directory: str) -> None:
     write_json(os.path.join(directory, GROUND_TRUTH_FILE), truth.as_dict())
     write_table(os.path.join(directory, LABELS_FILE), LABELS_HEADER,
                 sorted(truth.labels.items()))
-
-
-def load_ground_truth(directory: str) -> GroundTruth:
-    with open(os.path.join(directory, GROUND_TRUTH_FILE), "r", encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh))
 
 
 # -- planning ----------------------------------------------------------

@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from conftest import random_graph_and_coloring, random_transfers
+from conftest import (
+    as_aggregated, identity_assignment, random_graph_and_coloring, random_transfers,
+)
 from fluxgraph import cli
 from fluxgraph.analytics import check_conservation, fmt_pct
 from fluxgraph.contraction import (
-    as_aggregated,
     canonical_form,
     contract,
-    identity_assignment,
     oracle_contract,
     verify_contraction,
 )

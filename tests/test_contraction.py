@@ -10,26 +10,26 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph_and_coloring
+from conftest import (
+    add_node, as_aggregated, build_graph, identity_assignment, quotient_rows,
+    random_graph_and_coloring,
+)
 from fluxgraph import cli
 from fluxgraph import contraction
 from fluxgraph.contraction import (
     ContractedGraph,
     ContractedNode,
-    as_aggregated,
     canonical_form,
     contract,
-    identity_assignment,
     load_contracted,
     oracle_contract,
     quotient_frames,
-    quotient_rows,
     save_contracted,
     verify_contraction,
 )
 from fluxgraph.errors import MalformedRecordError, PartialColoringError, VerificationError
 from fluxgraph.exchanges import Coloring, build_coloring, detect_exchanges
-from fluxgraph.graph import AggregatedGraph, EdgeAggregate, build_graph
+from fluxgraph.graph import AggregatedGraph, EdgeAggregate
 from fluxgraph.records import ingest
 from fluxgraph.synth import config_from_dict, generate
 from test_graph import FOOTPRINT_SCENARIO
@@ -113,7 +113,7 @@ class TestClusterSemantics:
         g = AggregatedGraph()
         g.add_transfer("x1", "x2", 1)
         g.add_transfer("x2", "x3", 1)
-        g.add_node("y1")
+        add_node(g, "y1")
         coloring = Coloring.from_mapping(g, {"x1": 1, "x2": 1, "x3": 1, "y1": 1})
         contracted, assignment = contract(g, coloring)
         assert assignment["x1"] == assignment["x2"] == assignment["x3"] == 1
@@ -122,8 +122,8 @@ class TestClusterSemantics:
 
     def test_dominance_tie_breaks_by_smallest_member(self):
         g = AggregatedGraph()
-        g.add_node("aa")
-        g.add_node("zz")
+        add_node(g, "aa")
+        add_node(g, "zz")
         coloring = Coloring.from_mapping(g, {"aa": 1, "zz": 1})
         _, assignment = contract(g, coloring)
         assert assignment == {"aa": 1, "zz": 2}
@@ -131,7 +131,7 @@ class TestClusterSemantics:
     def test_user_clusters_numbered_after_max_color(self):
         g = AggregatedGraph()
         g.add_transfer("u1", "u2", 1)
-        g.add_node("m")
+        add_node(g, "m")
         coloring = Coloring.from_mapping(g, {"u1": 0, "u2": 0, "m": 5})
         _, assignment = contract(g, coloring)
         assert assignment["m"] == 5
@@ -164,14 +164,14 @@ class TestClusterSemantics:
         other.add_transfer("a", "b", 1)
         with pytest.raises(ConfigError):
             contract(other, coloring)
-        g.add_node("c")  # joined after the coloring was made
+        add_node(g, "c")  # joined after the coloring was made
         with pytest.raises(PartialColoringError, match="'c'"):
             contract(g, coloring)
 
     def test_negative_color_rejected(self):
         from fluxgraph.errors import ConfigError
         g = AggregatedGraph()
-        g.add_node("a")
+        add_node(g, "a")
         with pytest.raises(ConfigError):
             contract(g, Coloring.from_mapping(g, {"a": -1}))
 
@@ -234,7 +234,7 @@ class TestProperties:
         def run(order):
             g = AggregatedGraph()
             for name in colors:
-                g.add_node(name)
+                add_node(g, name)
             for s, r, a in order:
                 g.add_transfer(s, r, a)
             return canonical_form(*contract(g, Coloring.from_mapping(g, dict(colors))))
@@ -316,7 +316,7 @@ class TestQuotientRows:
         else:
             other["z"] = 3
         with pytest.raises(VerificationError, match="covers"):
-            quotient_rows(g.names, contracted, other)
+            list(quotient_frames(g.names, contracted, other))
 
 
 def reference_graphml(contracted, labels) -> bytes:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import color_of, max_color
+from conftest import add_node, color_of, max_color
 from fluxgraph.errors import (
     ClusterOverlapError,
     ConfigError,
@@ -41,7 +41,7 @@ def exchange_graph(
     plain withdrawal-target neighbors. Each deposit receives 1000 from
     its owner and forwards 1000/forward_den to the main wallet."""
     g = AggregatedGraph()
-    g.add_node(main)
+    add_node(g, main)
     for i in range(deposit_count):
         dep, owner = f"dep{i:03d}", f"own{i:03d}"
         g.add_transfer(owner, dep, 1000)
@@ -89,7 +89,7 @@ class TestIsDepositAddress:
     def test_no_outflow(self):
         g = AggregatedGraph()
         g.add_transfer("owner", "x", 100)
-        g.add_node("MAIN")
+        add_node(g, "MAIN")
         assert not is_deposit_address(g, "x", "MAIN", self.params())
 
     def test_forward_fraction_boundary(self):
@@ -203,7 +203,7 @@ class TestIntegerThresholds:
     @example(to_main=99, side=[], inflows=1, forward=0.99, wanted=1)
     def test_deposit_test_agrees_with_fractions(self, to_main, side, inflows, forward, wanted):
         g = AggregatedGraph()
-        g.add_node("MAIN")
+        add_node(g, "MAIN")
         for i in range(inflows):
             g.add_transfer(f"own{i}", "x", 10)
         g.add_transfer("MAIN", "x", 3)
@@ -398,7 +398,7 @@ class TestPersistence:
     def test_coloring_round_trip(self, tmp_path):
         g = AggregatedGraph()
         for account in "cab":
-            g.add_node(account)
+            add_node(g, account)
         coloring = Coloring.from_mapping(g, {"a": 0, "b": 2, "c": 1})
         path = str(tmp_path / "coloring.csv")
         save_coloring(path, coloring)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    assert_no_child, degree, edge, neighbor_count, neighbors, out_flux, random_transfers,
+    add_edge, add_node, assert_no_child, build_graph, degree, edge, neighbor_count, neighbors,
+    out_flux, random_transfers,
 )
 from fluxgraph import cli, graph as graph_module, records
 from fluxgraph.errors import MalformedRecordError, UnknownAccountError
@@ -22,7 +23,6 @@ from fluxgraph.graph import (
     EDGES_HEADER,
     AccountMap,
     AggregatedGraph,
-    build_graph,
     degree_centrality_ranking,
     graph_stats,
     load_graph,
@@ -169,7 +169,7 @@ class TestPersistence:
 
     def test_isolated_nodes_survive(self, tmp_path):
         g = AggregatedGraph()
-        g.add_node("lonely")
+        add_node(g, "lonely")
         g.add_transfer("a", "b", 1)
         save_graph(g, str(tmp_path))
         assert "lonely" in load_graph(str(tmp_path)).nodes
@@ -226,7 +226,7 @@ CORRUPTIONS = [None, "zero_flux", "12x", "digits", "unknown", "repeat", "repeat_
 def saved_graph(edges) -> AggregatedGraph:
     g = AggregatedGraph()
     for sender, recipient, flux, mult in edges:
-        g.add_edge(sender, recipient, flux, mult)
+        add_edge(g, sender, recipient, flux, mult)
     return g
 
 
@@ -382,7 +382,7 @@ class TestBlockLoader:
         """An edges.csv of its header alone is no fault: the row loop is
         not needed for it."""
         g = AggregatedGraph()
-        g.add_node("a")
+        add_node(g, "a")
         save_graph(g, str(tmp_path))
 
         def row_loop(*args):
@@ -442,7 +442,7 @@ class TestAccountMap:
     def test_reads_like_a_dict_in_name_order(self):
         g = AggregatedGraph()
         for account in "cab":
-            g.add_node(account)
+            add_node(g, account)
         view = AccountMap(g, array("q", [30, 10, 20]))
         expected = {"a": 10, "b": 20, "c": 30}
         assert list(view) == list(expected)
@@ -456,7 +456,7 @@ class TestAccountMap:
     def test_equality_is_exact(self):
         g = AggregatedGraph()
         for account in "cab":
-            g.add_node(account)
+            add_node(g, account)
         view = AccountMap(g, array("q", [30, 10, 20]))
         assert view == {"a": 10, "b": 20, "c": 30} == view
         assert view != {"a": 10, "b": 20, "c": 31}  # one value differs
@@ -467,9 +467,9 @@ class TestAccountMap:
 
     def test_node_added_after_the_array_has_no_value(self):
         g = AggregatedGraph()
-        g.add_node("b")
+        add_node(g, "b")
         before = AccountMap(g, array("q", [7]))
-        g.add_node("a")
+        add_node(g, "a")
         after = AccountMap(g, array("q", [7]))
         for view in (before, after):
             assert dict(view) == {"b": 7}
@@ -566,10 +566,10 @@ class TestEdgeTable:
                 g.add_transfer(sender, recipient, amount)
                 ref.fold(sender, recipient, amount, 1)
             elif op == "edge":
-                g.add_edge(*args)
+                add_edge(g, *args)
                 ref.fold(*args)
             elif op == "node":
-                g.add_node(*args)
+                add_node(g, *args)
                 ref.add_node(*args)
             else:
                 # drops every view; assert_same works out the degrees and
@@ -586,7 +586,7 @@ class TestEdgeTable:
         assert g.adjacency() is adj
         g.add_transfer("a", "a", 5)
         assert list(g.adjacency().outgoing(g.id_of("a"))) == [0, 2]
-        g.add_node("c")
+        add_node(g, "c")
         assert list(g.adjacency().incoming(g.id_of("c"))) == []
 
     def test_degrees_are_kept_until_the_next_fold(self):
@@ -596,7 +596,7 @@ class TestEdgeTable:
         assert g.degrees is degrees
         g.add_transfer("a", "b", 5)
         assert g.degrees == [2, 3]
-        g.add_node("c")
+        add_node(g, "c")
         assert g.degrees == [2, 3, 0]
 
     def test_compact_drops_the_views_only(self):
@@ -623,7 +623,7 @@ class TestEdgeTable:
         with pytest.raises(OverflowError, match="at most 4 accounts"):
             g.add_transfer("a0", "a4", 1)
         with pytest.raises(OverflowError, match="'a4'"):
-            g.add_node("a4")
+            add_node(g, "a4")
         assert g.order == 4
         assert g.aggregated_size == 16
         assert g.transaction_count == 16

@@ -684,9 +684,8 @@ class TestBlocks:
     )
     def test_blocks_match_serial_ingest(self, tmp_path_factory, lines, bad_byte, data):
         from fluxgraph import cli
-        from fluxgraph.graph import build_graph
 
-        from conftest import assert_no_child
+        from conftest import assert_no_child, build_graph
 
         raw = b"".join(line.encode("utf-8") for line in lines)
         ends = [len(raw[:i + 1]) for i in range(len(raw)) if raw[i:i + 1] == b"\n"]
@@ -830,9 +829,9 @@ class TestBlocks:
         and load_graph parse every block in this process, with the results
         of one, and fork nothing."""
         from fluxgraph import graph as graph_module
-        from fluxgraph.graph import build_graph, load_graph, save_graph
+        from fluxgraph.graph import load_graph, save_graph
 
-        from conftest import assert_no_child
+        from conftest import assert_no_child, build_graph
 
         kept = [TransferRecord(f"s{i}", f"r{i % 7}", i + 1, i, i) for i in range(40)]
         path = tmp_path / "ledger.jsonl"
