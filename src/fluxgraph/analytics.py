@@ -243,6 +243,14 @@ def _bucket_edges(cuts: Sequence[int], max_size: int) -> list[tuple[int, int]]:
     return edges
 
 
+def checked_bucket_cuts(cuts: Iterable[int]) -> tuple[int, ...]:
+    """cuts as a tuple; ConfigError unless strictly increasing positives."""
+    cuts = tuple(cuts)
+    if not cuts or any(c < 1 for c in cuts) or list(cuts) != sorted(set(cuts)):
+        raise ConfigError(f"bucket cuts must be strictly increasing positives: {cuts!r}")
+    return cuts
+
+
 def cluster_size_histogram(
     contracted: ContractedGraph, cuts: Sequence[int] = DEFAULT_BUCKET_CUTS
 ) -> ClusterSizeHistogram:
@@ -255,10 +263,7 @@ def cluster_size_histogram(
     member clusters' internal transfer statistics, None when a bucket is
     empty.
     """
-    cuts = tuple(cuts)
-    if not cuts or any(c < 1 for c in cuts) or list(cuts) != sorted(set(cuts)):
-        raise ConfigError(f"bucket cuts must be strictly increasing positives: {cuts!r}")
-
+    cuts = checked_bucket_cuts(cuts)
     user_nodes = [n for n in contracted.nodes.values() if n.color == 0]
     total_users = sum(n.member_count for n in user_nodes)
     max_size = max((n.member_count for n in user_nodes), default=0)

@@ -36,6 +36,7 @@ from .analytics import (
     DEFAULT_BUCKET_CUTS,
     build_report,
     check_conservation,
+    checked_bucket_cuts,
     save_report,
 )
 from .children import Child
@@ -159,16 +160,13 @@ def _bucket_cuts(args, config: dict) -> tuple[int, ...]:
     if not value:
         return DEFAULT_BUCKET_CUTS
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
         try:
-            return tuple(int(p) for p in parts)
+            value = [int(p) for p in value.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"bucket cuts must be integers, got {value!r}") from None
-    if isinstance(value, (list, tuple)):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise ConfigError("bucket cuts in config must be a list of integers")
-        return tuple(value)
-    raise ConfigError(f"cannot interpret bucket cuts {value!r}")
+    elif not (isinstance(value, (list, tuple)) and all(type(v) is int for v in value)):
+        raise ConfigError(f"bucket cuts in config must be a list of integers, got {value!r}")
+    return checked_bucket_cuts(value)
 
 
 def _detection_options(args, config: dict) -> tuple[DetectionParams, str | None]:
@@ -595,8 +593,11 @@ def cmd_run(args, config: dict) -> int:
     params_dict = dataclasses.asdict(params) if params else None
 
     outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
     out = functools.partial(os.path.join, outdir)
+    # so that no earlier run's manifest vouches for what this run leaves
+    with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+        os.remove(out(MANIFEST_FILE))
+    os.makedirs(outdir, exist_ok=True)
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
 

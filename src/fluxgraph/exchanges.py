@@ -303,22 +303,21 @@ def build_coloring(
     graph: AggregatedGraph, clusters: Iterable[ExchangeCluster]
 ) -> Coloring:
     """Color every graph node: cluster members get their cluster id,
-    everyone else 0. Raises ClusterOverlapError when two clusters claim
-    the same account, UnknownAccountError for members outside the graph."""
+    everyone else 0. Raises UnknownAccountError for members outside the
+    graph, and ClusterOverlapError when two clusters claim the same
+    account: one already colored, as cluster ids are 1 or more."""
     coloring = Coloring.all_users(graph)
     by_id, ids = coloring.by_id, graph.ids
-    seen: dict[str, int] = {}
     for cluster in clusters:
         for member in cluster.members():
-            if member in seen:
-                raise ClusterOverlapError(
-                    f"account {member} belongs to clusters "
-                    f"{seen[member]} and {cluster.cluster_id}"
-                )
             node = ids.get(member)
             if node is None:
                 raise UnknownAccountError(member)
-            seen[member] = cluster.cluster_id
+            if by_id[node]:
+                raise ClusterOverlapError(
+                    f"account {member} belongs to clusters "
+                    f"{by_id[node]} and {cluster.cluster_id}"
+                )
             by_id[node] = cluster.cluster_id
     return coloring
 

@@ -38,7 +38,7 @@ import io
 import operator
 import os
 from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping
 from dataclasses import asdict, dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
@@ -243,10 +243,9 @@ class AccountMap(Mapping):
     """Read-only account-keyed view of an int array indexed by node id:
     the value of account graph.names[i] is by_id[i].
 
-    Keys, values and items run in the graph's name_order() at C level,
-    so a writer streams items() without sorting and without a Python
-    call per key. Equality with another mapping is exact and builds no
-    dict. A node added to the graph after the array was made has no
+    Keys and items run in the graph's name_order() at C level, so a
+    writer streams items() without sorting and without a Python call
+    per key. A node added to the graph after the array was made has no
     value.
     """
 
@@ -276,42 +275,16 @@ class AccountMap(Mapping):
     def __iter__(self) -> Iterator[str]:
         return map(self._names.__getitem__, self._order)
 
-    def _values(self) -> Iterator[int]:
-        return map(self.by_id.__getitem__, self._order)
-
-    def values(self) -> ValuesView:
-        return _AccountValues(self)
-
     def items(self) -> ItemsView:
         return _AccountItems(self)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AccountMap) and other._ids is self._ids:
-            return self.by_id == other.by_id
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        # equal sizes, and every key of self present in other with the same
-        # value; id order, as name order would cost two lookups per key
-        return len(other) == len(self) and all(
-            map(operator.eq, map(other.get, self._names), self.by_id)
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _AccountValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        return self._mapping._values()
 
 
 class _AccountItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
-        return zip(self._mapping, self._mapping._values())
+        view = self._mapping
+        return zip(view, map(view.by_id.__getitem__, view._order))
 
 
 def fold_rows(rows: Iterable[tuple[str, str, int]]) -> AggregatedGraph:

@@ -531,14 +531,12 @@ def _generate(config: ScenarioConfig, emit: Callable[[str], None]) -> GroundTrut
         block = start_block + emitted // per_block
         return block, genesis + (block - start_block) * block_ms
 
-    def emit_transfer(sender: str, recipient: str, amount: int,
-                      signed: bool = True, success: bool = True) -> None:
+    def emit_transfer(sender: str, recipient: str, amount: int, success: bool = True) -> None:
         nonlocal emitted
         block, ts = stamp()
         emit(
             f'{{"block_number": {block}, "timestamp": {ts}, '
-            f'"module_id": "Balances", "call_id": "transfer", '
-            f'"signed": {"true" if signed else "false"}, '
+            f'"module_id": "Balances", "call_id": "transfer", "signed": true, '
             f'"success": {"true" if success else "false"}, '
             f'"sender": "{sender}", "recipient": "{recipient}", '
             f'"amount_planck": {amount}}}'

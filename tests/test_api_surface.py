@@ -5,6 +5,13 @@ Attribute node refers to it. An import is not a use, so a name that only
 tests or the package's __init__ bring in is flagged: such a helper
 belongs in tests/conftest.py. KEPT names the public API that is used
 from outside the package, each with its reason.
+
+The guard matches names, not the objects they refer to, so it cannot
+see two kinds of test-only member. A dunder method (__eq__, __repr__)
+is never flagged, as Python calls it without naming it. A method named
+like a builtin type's method (values, items, edges) counts as used
+wherever a dict's or another class's member of that name is read. Such
+members must be checked by hand, by tracing a run of every command.
 """
 
 import ast

@@ -130,6 +130,41 @@ class TestExitCodes:
         assert not (out / "transfers.jsonl").exists()
         assert not (out / "graph").exists()
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--bucket-cuts", "5,3"], None),
+        (["--bucket-cuts", "0,2"], None),
+        ([], {"analyze": {"bucket_cuts": [1, 1, 2]}}),
+    ])
+    def test_bad_bucket_cuts_fail_before_any_write(self, tmp_path, ledger, capsys, flags,
+                                                   config):
+        _, path, _ = ledger
+        out = tmp_path / "out"
+        argv = ["run", "--input", path, "--output", str(out), "--quiet", *flags]
+        if config is not None:
+            cfg = tmp_path / "pipeline.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "bucket cuts must be strictly increasing positives" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, ledger):
+        _, path, _ = ledger
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(b"".join(lines[: len(lines) // 2]))
+        out = tmp_path / "out"
+        assert run_pipeline(path, out) == cli.EXIT_OK
+        first_edges = (out / "graph" / "edges.csv").read_bytes()
+        for name in os.listdir(out / "contracted"):
+            os.remove(out / "contracted" / name)
+        os.rmdir(out / "contracted")
+        (out / "contracted").write_text("not a directory\n")
+        assert run_pipeline(str(other), out) == cli.EXIT_IO
+        assert (out / "graph" / "edges.csv").read_bytes() != first_edges
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["run", "contract"])
     def test_disagreeing_oracle_fails_verification(self, tmp_path, ledger, monkeypatch,
                                                    capsys, command):
