@@ -341,54 +341,44 @@ class _Forked:
             self._child.wait()
 
 
-def _verify(oracle: _Forked, graph: AggregatedGraph, contracted, assignment) -> None:
-    """Cross-check a contraction against the independent implementation's,
-    one frame at a time as the oracle's arrive."""
-    if not verify_contraction(contracted):
-        raise VerificationError("contracted graph is not properly colored")
-    theirs = oracle.items()
-    # both routes number clusters alike, so equal quotients have equal frames
-    for frame in quotient_frames(graph.names, contracted, assignment):
-        if frame != next(theirs, None):
-            break
-    else:
-        if next(theirs, None) is None:
-            return
-    raise VerificationError("independent contraction produced a different quotient graph")
-
-
-def _contract(graph: AggregatedGraph, coloring: Coloring, verify: bool, directory: str,
-              labels: dict[int, str], timings: dict, meanwhile=None, with_quotient=None,
-              **meta):
-    """Contract, save the quotient with meta in meta.json, and cross-check
-    it when verify. meanwhile, when given, is called first, while the
-    oracle works in its child. The quotient is written next, while the
-    oracle may still work, and so is whatever with_quotient(contracted,
-    stage) writes into the directories stage(directory) gives; all of it
-    appears only once the check has passed (see tables.HeldOutput)."""
-    meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__,
-                verified=verify)
-
-    def oracle_frames():
+def _oracle(graph: AggregatedGraph, coloring: Coloring, verify: bool, timings: dict):
+    """When verify, the independent implementation's quotient frames, worked
+    out in a forked child from here on; otherwise a context of None."""
+    def frames():
         return quotient_frames(graph.names, *oracle_contract(graph, coloring))
 
-    with (_Forked("verify", oracle_frames, timings, kill=True) if verify
-          else contextlib.nullcontext()) as oracle:
-        if meanwhile is not None:
-            meanwhile()
-        with HeldOutput() as held:
-            with _timed(timings, "contract"):
-                contracted, assignment = contract(graph, coloring)
-            with _timed(timings, "save_contracted"):
-                save_contracted(contracted, assignment, held.stage(directory), labels=labels,
-                                meta=meta)
-            if with_quotient is not None:
-                with_quotient(contracted, held.stage)
-            if verify:
-                with _timed(timings, "verdict"):
-                    _verify(oracle, graph, contracted, assignment)
-    log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
-    return contracted
+    return _Forked("verify", frames, timings, kill=True) if verify else contextlib.nullcontext()
+
+
+def _contract(graph: AggregatedGraph, coloring: Coloring, directory: str,
+              labels: dict[int, str], timings: dict, **meta):
+    """Contract, and save the quotient with meta in meta.json."""
+    meta.update(before=graph_stats(graph).as_dict(), tool_version=__version__)
+    with _timed(timings, "contract"):
+        contracted, assignment = contract(graph, coloring)
+    with _timed(timings, "save_contracted"):
+        save_contracted(contracted, assignment, directory, labels=labels, meta=meta)
+    return contracted, assignment
+
+
+def _verify(oracle: _Forked | None, graph: AggregatedGraph, contracted, assignment,
+            timings: dict) -> None:
+    """Cross-check a contraction against the oracle's, one frame at a time
+    as they arrive. Without an oracle, do nothing."""
+    if oracle is None:
+        return
+    with _timed(timings, "verdict"):
+        if not verify_contraction(contracted):
+            raise VerificationError("contracted graph is not properly colored")
+        theirs = oracle.items()
+        # both routes number clusters alike, so equal quotients have equal frames
+        for frame in quotient_frames(graph.names, contracted, assignment):
+            if frame != next(theirs, None):
+                break
+        else:
+            if next(theirs, None) is None:
+                return
+        raise VerificationError("independent contraction produced a different quotient graph")
 
 
 def _analyze(before: GraphStats, contracted, clusters, cuts, directory: str,
@@ -477,7 +467,12 @@ def cmd_contract(args, config: dict) -> int:
         source = args.coloring or f"{args.graph} (no --coloring: every account is a user)"
         _check_colors(coloring, clusters, source, args.clusters)
     labels = {c.cluster_id: c.label for c in clusters}
-    contracted = _contract(graph, coloring, args.verify, args.output, labels, {})
+    timings: dict[str, float] = {}  # logged at --verbose only
+    with _oracle(graph, coloring, args.verify, timings) as oracle, HeldOutput() as held:
+        contracted, assignment = _contract(graph, coloring, held.stage(args.output), labels,
+                                           timings, verified=args.verify)
+        _verify(oracle, graph, contracted, assignment, timings)
+    log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
     _emit({
         "order": contracted.order,
         "size": contracted.size,
@@ -597,6 +592,14 @@ def cmd_run(args, config: dict) -> int:
     # so that no earlier run's manifest vouches for what this run leaves
     with contextlib.suppress(FileNotFoundError, NotADirectoryError):
         os.remove(out(MANIFEST_FILE))
+    # an output path of the wrong kind, refused before anything is written
+    for names, is_kind, kind in (((GRAPH_DIR, CONTRACTED_DIR, REPORT_DIR), os.path.isdir,
+                                  "a directory"),
+                                 ((CLUSTERS_FILE, COLORING_FILE), os.path.isfile,
+                                  "a regular file")):
+        for path in map(out, names):
+            if os.path.lexists(path) and not is_kind(path):
+                raise OSError(f"{path} exists but is not {kind}")
     os.makedirs(outdir, exist_ok=True)
     timings: dict[str, float] = {}
     total0 = time.perf_counter()
@@ -614,21 +617,20 @@ def cmd_run(args, config: dict) -> int:
         with _timed(timings, "detect"):
             clusters, coloring = _detect(graph, params, labels, coloring=True)
         cluster_labels = {c.cluster_id: c.label for c in clusters}
-
-        def save_detection():  # while the --verify oracle works
+        # the oracle works in its child; what is staged in held appears once it agrees
+        with _oracle(graph, coloring, verify, timings) as oracle, HeldOutput() as held:
             with _timed(timings, "save_detection"):
                 _save_detection(clusters, coloring, out(CLUSTERS_FILE), out(COLORING_FILE))
-
-        def report(contracted, stage):  # appears with the quotient, once graph/ is written
+            contracted, assignment = _contract(
+                graph, coloring, held.stage(out(CONTRACTED_DIR)), cluster_labels, timings,
+                verified=verify, detect=detect_enabled, params=params_dict)
             with _timed(timings, "analyze"):
-                _analyze(before, contracted, clusters, cuts, stage(out(REPORT_DIR)),
+                _analyze(before, contracted, clusters, cuts, held.stage(out(REPORT_DIR)),
                          cluster_labels)
             for _ in writer.items():  # none: graph/ is written once they end
                 pass
-
-        contracted = _contract(graph, coloring, verify, out(CONTRACTED_DIR), cluster_labels,
-                               timings, meanwhile=save_detection, with_quotient=report,
-                               detect=detect_enabled, params=params_dict)
+            _verify(oracle, graph, contracted, assignment, timings)
+    log.info("contract: %d clusters, %d quotient edges", contracted.order, contracted.size)
 
     manifest = {
         "tool": "fluxgraph",
@@ -769,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. The cyclic garbage collector is paused meanwhile:
+    """Run one command. The cyclic garbage collector is paused while it runs:
     the pipeline's large graphs hold no reference cycles, so its passes
     over them free nothing, and the few cycles a command leaves (mostly
     argparse's) do not grow with the input."""

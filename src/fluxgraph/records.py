@@ -132,8 +132,6 @@ def dot_to_planck(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise MalformedRecordError(f"invalid decimal amount {text!r}") from None
-    if not value.is_finite():
-        raise MalformedRecordError(f"amount {text!r} is not a finite number")
     if not value:
         return 0
     # integer arithmetic on the digits: Decimal arithmetic would round

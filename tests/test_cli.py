@@ -1,6 +1,7 @@
 """Command line interface: exit codes, stage chaining, config precedence."""
 
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 from fluxgraph import cli
 from fluxgraph.errors import PartialColoringError
+from fluxgraph.graph import EdgeAggregate
 from fluxgraph.synth import (
     ExchangeSpec,
     ScenarioConfig,
@@ -130,13 +132,21 @@ class TestExitCodes:
         assert not (out / "transfers.jsonl").exists()
         assert not (out / "graph").exists()
 
-    @pytest.mark.parametrize("flags,config", [
-        (["--bucket-cuts", "5,3"], None),
-        (["--bucket-cuts", "0,2"], None),
-        ([], {"analyze": {"bucket_cuts": [1, 1, 2]}}),
+    @pytest.mark.parametrize("flags,config,message", [
+        pytest.param(["--bucket-cuts", "5,3"], None,
+                     "bucket cuts must be strictly increasing positives", id="flags0-None"),
+        pytest.param(["--bucket-cuts", "0,2"], None,
+                     "bucket cuts must be strictly increasing positives", id="flags1-None"),
+        pytest.param([], {"analyze": {"bucket_cuts": [1, 1, 2]}},
+                     "bucket cuts must be strictly increasing positives", id="flags2-config2"),
+        pytest.param(["--bucket-cuts", "1,x"], None,
+                     "bucket cuts must be integers, got '1,x'", id="flags3-None"),
+        pytest.param([], {"analyze": {"bucket_cuts": [1, "2"]}},
+                     "bucket cuts in config must be a list of integers, got [1, '2']",
+                     id="flags4-config4"),
     ])
     def test_bad_bucket_cuts_fail_before_any_write(self, tmp_path, ledger, capsys, flags,
-                                                   config):
+                                                   config, message):
         _, path, _ = ledger
         out = tmp_path / "out"
         argv = ["run", "--input", path, "--output", str(out), "--quiet", *flags]
@@ -145,8 +155,45 @@ class TestExitCodes:
             cfg.write_text(json.dumps(config))
             argv += ["--config", str(cfg)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "bucket cuts must be strictly increasing positives" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param("[1, 2]", "must hold a JSON object", id="array"),
+        pytest.param('{"detect": []}', "config block 'detect' must be an object",
+                     id="array_block"),
+    ])
+    def test_config_of_wrong_shape(self, tmp_path, ledger, capsys, config, message):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--input", ledger[1], "--output", str(out),
+                         "--config", str(cfg), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, kind", [
+        ("graph", "a directory"),
+        ("contracted", "a directory"),
+        ("report", "a directory"),
+        ("clusters.csv", "a regular file"),
+        ("coloring.csv", "a regular file"),
+    ])
+    def test_output_path_of_wrong_kind_fails_before_any_write(self, tmp_path, ledger, capsys,
+                                                              name, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "a directory":
+            (out / name).write_text("")
+        else:
+            (out / name).mkdir()
+        code = run_pipeline(ledger[1], out, extra=["--verify"])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error: {out / name} exists but is not {kind}\n"
+        assert os.listdir(out) == [name]
+        assert files_under(out) == ([] if (out / name).is_dir() else [name])
+        assert_no_child()
 
     def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, ledger):
         _, path, _ = ledger
@@ -162,7 +209,7 @@ class TestExitCodes:
         os.rmdir(out / "contracted")
         (out / "contracted").write_text("not a directory\n")
         assert run_pipeline(str(other), out) == cli.EXIT_IO
-        assert (out / "graph" / "edges.csv").read_bytes() != first_edges
+        assert (out / "graph" / "edges.csv").read_bytes() == first_edges
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "contract"])
@@ -206,6 +253,42 @@ class TestExitCodes:
                 assert not (out / "manifest.json").exists()
             else:
                 assert files_under(out) == []
+
+    def test_improper_quotient_fails_verification(self, tmp_path, ledger, monkeypatch,
+                                                  capsys):
+        staged = tmp_path / "staged"
+        assert run_pipeline(ledger[1], staged) == cli.EXIT_OK
+        fast = cli.contract
+
+        def with_self_edge(graph, coloring):
+            contracted, assignment = fast(graph, coloring)
+            cid = next(iter(contracted.nodes))
+            contracted.edges[(cid, cid)] = EdgeAggregate(1, 1)
+            return contracted, assignment
+
+        monkeypatch.setattr(cli, "contract", with_self_edge)
+        out = tmp_path / "out"
+        code = cli.main(["contract", "--graph", str(staged / "graph"),
+                         "--coloring", str(staged / "coloring.csv"),
+                         "--output", str(out), "--verify", "--quiet"])
+        assert code == cli.EXIT_VERIFY
+        assert "not properly colored" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_on_broken_conservation(self, tmp_path, ledger, capsys):
+        out = tmp_path / "out"
+        assert run_pipeline(ledger[1], out) == cli.EXIT_OK
+        nodes = out / "contracted" / "nodes.csv"
+        header, first, *rest = nodes.read_text().splitlines(keepends=True)
+        assert header.rstrip().endswith(",intra_tx_count")
+        cells = first.rstrip().rsplit(",", 1)
+        nodes.write_text(header + f"{cells[0]},{int(cells[1]) + 1}\n" + "".join(rest))
+        report = tmp_path / "report"
+        code = cli.main(["analyze", "--contracted", str(out / "contracted"),
+                         "--output", str(report), "--quiet"])
+        assert code == cli.EXIT_CONSERVATION
+        assert "conservation violated for: transactions " in capsys.readouterr().err
+        assert not report.exists()
 
     def test_non_utf8_pipeline_config(self, tmp_path, ledger, capsys):
         _, path, _ = ledger
@@ -470,6 +553,8 @@ class TestMalformedFiles:
                      id="address_main_and_deposit"),
         pytest.param("1,acme,a,main\n2,zeta,a,main\n", "listed twice",
                      id="address_in_two_clusters"),
+        pytest.param("1,acme,a,main\n1,acme,b,owner\n", "role must be 'main' or 'deposit'",
+                     id="unknown_role"),
     ])
     @pytest.mark.parametrize("command", ["contract", "analyze"])
     def test_inconsistent_clusters_file(self, tmp_path, ledger, capsys, command, rows,
@@ -882,13 +967,15 @@ class TestVerifyChild:
         monkeypatch.setattr(cli, "oracle_contract", disagreeing)
         assert run_pipeline(path, tmp_path / "a", extra=["--verify"]) == cli.EXIT_VERIFY
         assert_no_child()
-        # a parent-side failure while the child works: graph/ cannot be made
+        # a parent-side failure while the child works: report/ cannot be written
         monkeypatch.setattr(cli, "oracle_contract", oracle)
-        out = tmp_path / "b"
-        out.mkdir()
-        (out / "graph").write_text("")
-        assert run_pipeline(path, out, extra=["--verify"]) == cli.EXIT_IO
-        assert "graph" in capsys.readouterr().err
+
+        def failing(directory, *args):
+            raise OSError(errno.ENOSPC, "No space left on device", directory)
+
+        monkeypatch.setattr(cli, "save_report", failing)
+        assert run_pipeline(path, tmp_path / "b", extra=["--verify"]) == cli.EXIT_IO
+        assert "report" in capsys.readouterr().err
         assert_no_child()
 
 

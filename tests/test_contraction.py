@@ -32,6 +32,7 @@ from fluxgraph.exchanges import Coloring, build_coloring, detect_exchanges
 from fluxgraph.graph import AggregatedGraph, EdgeAggregate
 from fluxgraph.records import ingest
 from fluxgraph.synth import config_from_dict, generate
+from fluxgraph.tables import HeldOutput
 from test_graph import FOOTPRINT_SCENARIO
 
 
@@ -183,6 +184,24 @@ class TestClusterSemantics:
         other = AggregatedGraph()
         assert canonical_form(contracted, assignment) \
             == canonical_form(*contract(other, Coloring.from_mapping(other, {})))
+
+
+class TestVerifyContraction:
+    @staticmethod
+    def quotient(colors, edges) -> ContractedGraph:
+        contracted = ContractedGraph()
+        for cid, color in colors.items():
+            contracted.nodes[cid] = ContractedNode(cid, color, 1, 0, 0)
+        for src, dst in edges:
+            contracted.edges[(src, dst)] = EdgeAggregate(5, 1)
+        return contracted
+
+    @pytest.mark.parametrize("colors, edges", [
+        pytest.param({1: 1, 2: 0}, [(1, 2), (2, 2)], id="self_edge"),
+        pytest.param({1: 1, 2: 0, 3: 0}, [(1, 2), (2, 3)], id="edge_within_a_color"),
+    ])
+    def test_not_properly_colored(self, colors, edges):
+        assert not verify_contraction(self.quotient(colors, edges))
 
 
 def total_check(graph, contracted):
@@ -498,6 +517,15 @@ def traced(make):
     return result, kept - before, peak - before
 
 
+def verified_contraction(graph, coloring, directory):
+    """The three steps of contract --verify, as cmd_contract calls them."""
+    with cli._oracle(graph, coloring, True, {}) as oracle, HeldOutput() as held:
+        contracted, assignment = cli._contract(graph, coloring, held.stage(directory), {}, {},
+                                               verified=True)
+        cli._verify(oracle, graph, contracted, assignment, {})
+    return contracted
+
+
 class TestFootprint:
     def test_coloring_bytes_per_node(self, footprint):
         graph, clusters = footprint
@@ -514,8 +542,8 @@ class TestFootprint:
         # the oracle inline, where tracemalloc sees its working set
         monkeypatch.delattr(os, "fork", raising=False)
         graph, clusters = footprint
-        contracted, _kept, peak = traced(lambda: cli._contract(
-            graph, build_coloring(graph, clusters), True, str(tmp_path), {}, {}))
+        contracted, _kept, peak = traced(lambda: verified_contraction(
+            graph, build_coloring(graph, clusters), str(tmp_path)))
         assert contracted.order > 1000
         assert peak / graph.order < MAX_VERIFIED_PEAK_PER_NODE
 
@@ -532,8 +560,8 @@ class TestFootprint:
 
         monkeypatch.setattr(cli, "oracle_contract", recorded)
         graph, clusters = footprint
-        contracted, _kept, peak = traced(lambda: cli._contract(
-            graph, build_coloring(graph, clusters), True, str(tmp_path), {}, {}))
+        contracted, _kept, peak = traced(lambda: verified_contraction(
+            graph, build_coloring(graph, clusters), str(tmp_path)))
         assert callers == []
         assert contracted.order > 1000
         assert peak / graph.order < MAX_VERIFIED_PEAK_PER_NODE

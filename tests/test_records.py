@@ -77,6 +77,11 @@ class TestDotToPlanck:
             with pytest.raises(MalformedRecordError, match="below Planck resolution"):
                 dot_to_planck(text)
 
+    def test_exponent_past_decimal_range(self):
+        # the plain notation matches, but Decimal() cannot hold the exponent
+        with pytest.raises(MalformedRecordError, match="invalid decimal amount"):
+            dot_to_planck("1e99999999999999999999999")
+
     def test_digit_bound(self):
         largest = "9" * (MAX_AMOUNT_DIGITS - 10)
         assert dot_to_planck(largest) == int(largest) * PLANCK_PER_DOT
