@@ -208,6 +208,20 @@ def _timed(timings: dict, key: str):
     _log_stage(timings, key, time.perf_counter() - t0)
 
 
+def _refuse_wrong_kind(directories: Iterable[str | None] = (),
+                       files: Iterable[str | None] = ()) -> None:
+    """Raise OSError for an output path that exists but is not of its
+    kind: a directory for each of directories, a regular file for each
+    of files; a None path is skipped. Each command calls this on its
+    output paths before its first write, so that such a path is refused
+    with nothing written."""
+    for paths, is_kind, kind in ((directories, os.path.isdir, "a directory"),
+                                 (files, os.path.isfile, "a regular file")):
+        for path in paths:
+            if path is not None and os.path.lexists(path) and not is_kind(path):
+                raise OSError(f"{path} exists but is not {kind}")
+
+
 # -- stages: each called by its own command (inputs read from files) and
 # by run (inputs it already holds) --------------------------------------
 
@@ -229,8 +243,8 @@ def _ingest(source: str, opts: dict, render, consume, timings: dict | None = Non
 
 
 def _fold(blocks) -> AggregatedGraph:
-    """The graph of the transfer_rows of each block."""
-    return fold_rows(itertools.chain.from_iterable(blocks))
+    """The graph of blocks that transfer_rows rendered."""
+    return fold_rows(blocks)
 
 
 def _write_text(path: str, blocks) -> None:
@@ -393,6 +407,7 @@ def _analyze(before: GraphStats, contracted, clusters, cuts, directory: str,
 
 def cmd_ingest(args, config: dict) -> int:
     t0 = time.perf_counter()
+    _refuse_wrong_kind(files=[args.output])
     summary = _ingest(args.input, _ingest_options(args, config), transfer_text,
                       functools.partial(_write_text, args.output))[1]
     _emit(dict(summary.as_dict(), output=args.output,
@@ -402,6 +417,7 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_build(args, config: dict) -> int:
     t0 = time.perf_counter()
+    _refuse_wrong_kind(directories=[args.output])
     graph = _fold(ingest_blocks(args.input, transfer_rows))
     save_graph(graph, args.output)
     stats = _built(graph)
@@ -420,6 +436,7 @@ def cmd_stats(args, config: dict) -> int:
 
 def cmd_detect(args, config: dict) -> int:
     t0 = time.perf_counter()
+    _refuse_wrong_kind(files=[args.output, args.coloring])
     params, labels_path = _detection_options(args, config)
     labels = load_labels(labels_path) if labels_path else None
     graph = load_graph(args.graph)
@@ -456,6 +473,7 @@ def _check_colors(coloring: Coloring, clusters, coloring_path: str,
 
 def cmd_contract(args, config: dict) -> int:
     t0 = time.perf_counter()
+    _refuse_wrong_kind(directories=[args.output])
     graph = load_graph(args.graph)
     if args.coloring:
         coloring = load_coloring(args.coloring, graph)
@@ -505,6 +523,7 @@ def _check_clusters(clusters, contracted, labels: dict[int, str], clusters_path:
 
 def cmd_analyze(args, config: dict) -> int:
     cuts = _bucket_cuts(args, config)
+    _refuse_wrong_kind(directories=[args.output])
     contracted, meta, labels = load_quotient(args.contracted)
     before = meta.get("before")
     keys = {f.name for f in dataclasses.fields(GraphStats)}
@@ -549,6 +568,7 @@ _TEMPLATE_SCENARIO = synthmod.ScenarioConfig(
 
 
 def cmd_synth(args, config: dict) -> int:
+    _refuse_wrong_kind(directories=[args.truth], files=[args.template, args.output])
     if args.template:
         write_json(args.template, synthmod.config_to_dict(_TEMPLATE_SCENARIO), sort_keys=False)
         _emit({"template": args.template})
@@ -592,14 +612,8 @@ def cmd_run(args, config: dict) -> int:
     # so that no earlier run's manifest vouches for what this run leaves
     with contextlib.suppress(FileNotFoundError, NotADirectoryError):
         os.remove(out(MANIFEST_FILE))
-    # an output path of the wrong kind, refused before anything is written
-    for names, is_kind, kind in (((GRAPH_DIR, CONTRACTED_DIR, REPORT_DIR), os.path.isdir,
-                                  "a directory"),
-                                 ((CLUSTERS_FILE, COLORING_FILE), os.path.isfile,
-                                  "a regular file")):
-        for path in map(out, names):
-            if os.path.lexists(path) and not is_kind(path):
-                raise OSError(f"{path} exists but is not {kind}")
+    _refuse_wrong_kind(map(out, (GRAPH_DIR, CONTRACTED_DIR, REPORT_DIR)),
+                       map(out, (CLUSTERS_FILE, COLORING_FILE)))
     os.makedirs(outdir, exist_ok=True)
     timings: dict[str, float] = {}
     total0 = time.perf_counter()

@@ -44,7 +44,7 @@ from itertools import accumulate, repeat
 from typing import Iterable, Iterator, KeysView, NamedTuple, Optional
 
 from .errors import MalformedRecordError, UnknownAccountError
-from .records import parsed_blocks
+from .records import Rows, parsed_blocks
 from .tables import MAX_INT_DIGITS, atomic_output, read_table, write_table
 
 # Width of one node id in a packed pair key: two distinct id pairs never
@@ -287,12 +287,30 @@ class _AccountItems(ItemsView):
         return zip(view, map(view.by_id.__getitem__, view._order))
 
 
-def fold_rows(rows: Iterable[tuple[str, str, int]]) -> AggregatedGraph:
-    """Aggregate a stream of (sender, recipient, amount) rows; the result
-    is independent of input order."""
+def fold_rows(blocks: Iterable[Rows]) -> AggregatedGraph:
+    """Aggregate blocks of transfers, each as records.transfer_rows
+    renders it, in order. Each block's new names are interned in its
+    order, and its rows folded as ids through a list that translates the
+    block's own indices, so names, ids and edge order are those of
+    add_transfer called on each transfer in turn."""
     g = AggregatedGraph()
-    for row in rows:
-        g.add_transfer(*row)
+    ids, src, dst, flux, mult = g.ids, g.src, g.dst, g.flux, g.mult
+    index: dict[int, int] = {}  # see _bump
+    for names, senders, recipients, amounts in blocks:
+        node = [ids[name] if name in ids else g._intern(name) for name in names]
+        for s, r, amount in zip(map(node.__getitem__, array("q", senders)),
+                                map(node.__getitem__, array("q", recipients)), amounts):
+            key = s << ID_BITS | r
+            e = index.get(key)
+            if e is None:
+                index[key] = len(src)
+                src.append(s)
+                dst.append(r)
+                flux.append(amount)
+                mult.append(1)
+            else:
+                flux[e] += amount
+                mult[e] += 1
     g.compact()
     return g
 

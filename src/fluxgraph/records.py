@@ -14,7 +14,9 @@ dropped and counted by reason. All amounts stay integer Planck end to end.
 
 ingest_blocks reads a ledger file in line-aligned blocks, parsed by
 two processes where the ledger spans at least two blocks; it yields
-what the caller needs of each block's transfers, in file order.
+what the caller needs of each block's transfers, in file order. A
+block of canonical lines is read by the block kernel, one finditer
+pass with no record made; any other block by ingest().
 parsed_blocks is that block engine, for any file of lines.
 """
 
@@ -28,9 +30,11 @@ import os
 import re
 import struct
 import tempfile
+from array import array
 from dataclasses import astuple, asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .children import Child
@@ -107,7 +111,9 @@ def is_transfer_call(module_id: str, call_id: str) -> bool:
     Module match is exact; call match is case-insensitive because
     upstream decoders disagree on capitalisation.
     """
-    return module_id == BALANCES_MODULE and call_id.lower() in TRANSFER_CALL_IDS
+    # lower() only where the call id is not already one of them
+    return module_id == BALANCES_MODULE and (
+        call_id in TRANSFER_CALL_IDS or call_id.lower() in TRANSFER_CALL_IDS)
 
 
 # Plain ASCII decimal notation: digits with an optional fraction and an
@@ -180,24 +186,12 @@ def parse_record(
     """
     m = _canonical_match(line)
     if m is not None:
-        block, timestamp, module_id, call_id, signed, success, sender, recipient, amount = (
-            m.groups())
-        transfer = is_transfer_call(module_id, call_id)
-        # a transfer without endpoints takes the json path, which raises
-        # its MissingFieldError
-        if sender is not None or not transfer:
-            block_number = int(block)
-            if block_number < start_block:
-                return "below_start_block"
-            if not transfer:
-                return "non_transfer"
-            if signed == "false":
-                return "unsigned"
-            if success == "false":
-                return "failed"
-            if amount == "0":
-                return "zero_amount"
-            return TransferRecord(sender, recipient, int(amount), block_number, int(timestamp))
+        groups = m.groups()
+        outcome = _canonical_outcome(groups, start_block)
+        if outcome == "kept":
+            return _canonical_record(groups)
+        if outcome is not None:
+            return outcome
 
     try:
         obj = json.loads(line)
@@ -362,13 +356,48 @@ _FAST_DIGITS = 30
 _NUMBER = "(?:0|[1-9][0-9]{0,%d})" % (_FAST_DIGITS - 1)
 _TEXT = r'"([^"\\\x00-\x1f]*)"'
 _ENDPOINT = r'"([^"\\\x00-\x1f]+)"'
-_canonical_match = re.compile(
+_CANONICAL = (
     r'\{"block_number": (' + _NUMBER + '), "timestamp": (-?' + _NUMBER + '), '
     '"module_id": ' + _TEXT + ', "call_id": ' + _TEXT + ', '
-    '"signed": (true|false), "success": (true|false)'
+    # "f" where signed or success is false, which makes no new string
+    '"signed": (?:true|(f)alse), "success": (?:true|(f)alse)'
+    # the optional part as a branch with an empty arm, which re matches
+    # faster than a group with ?
     '(?:, "sender": ' + _ENDPOINT + ', "recipient": ' + _ENDPOINT + ', '
-    '"amount_planck": (' + _NUMBER + r'))?\}\n?'
-).fullmatch
+    '"amount_planck": (' + _NUMBER + r')|)\}'
+)
+_canonical_match = re.compile(_CANONICAL + r"\n?").fullmatch
+# Each whole line of a text in the canonical layout, ending in a newline.
+_canonical_lines = re.compile("^" + _CANONICAL + r"\n", re.MULTILINE).finditer
+
+
+def _canonical_outcome(groups: tuple, start_block: int) -> Optional[str]:
+    """The count a canonical line's record falls under, "kept" or its drop
+    reason, as parse_record decides it from the groups of its match; None
+    for a transfer call without endpoints, which the json path must read
+    to raise its MissingFieldError."""
+    block, _timestamp, module_id, call_id, unsigned, failed, sender, _recipient, amount = groups
+    transfer = is_transfer_call(module_id, call_id)
+    if sender is None and transfer:
+        return None
+    # a block number is never negative
+    if start_block > 0 and int(block) < start_block:
+        return "below_start_block"
+    if not transfer:
+        return "non_transfer"
+    if unsigned:
+        return "unsigned"
+    if failed:
+        return "failed"
+    if amount == "0":
+        return "zero_amount"
+    return "kept"
+
+
+def _canonical_record(groups: tuple) -> TransferRecord:
+    """The transfer of a kept canonical line, from the groups of its match."""
+    block, timestamp, _module, _call, _unsigned, _failed, sender, recipient, amount = groups
+    return TransferRecord(sender, recipient, int(amount), int(block), int(timestamp))
 
 
 def write_transfers(path: str, transfers: Iterable[TransferRecord]) -> int:
@@ -388,14 +417,63 @@ def read_transfers(path: str) -> Iterator[TransferRecord]:
         yield from ingest(fh)
 
 
-def transfer_rows(transfers: Iterable[TransferRecord]) -> list[tuple[str, str, int]]:
-    """(sender, recipient, amount) of each transfer: what a graph folds."""
-    return [(t.sender, t.recipient, t.amount_planck) for t in transfers]
+# A block of transfers as graph.fold_rows folds it (see transfer_rows).
+Rows = tuple[list[str], bytes, bytes, list[int]]
+
+
+def transfer_rows(transfers: Iterable[TransferRecord]) -> Rows:
+    """The transfers as graph.fold_rows folds them: their account names,
+    each once, in order of first appearance, sender before recipient;
+    the sender and the recipient of each as the index of its name, two
+    array('q') columns as bytes; and the amounts."""
+    endpoints, amounts = [], []
+    for t in transfers:
+        endpoints += t.sender, t.recipient
+        amounts.append(t.amount_planck)
+    return _local_rows(endpoints, amounts)
+
+
+def _local_rows(endpoints: list[str], amounts: list[int]) -> Rows:
+    """transfer_rows of the transfers whose senders and recipients
+    alternate in endpoints."""
+    local: dict[str, int] = {}
+    ids = array("q", [local.setdefault(name, len(local)) for name in endpoints])
+    return list(local), ids[0::2].tobytes(), ids[1::2].tobytes(), amounts
 
 
 def transfer_text(transfers: Iterable[TransferRecord]) -> str:
     """The transfers as write_transfers writes them."""
     return "".join([transfer_line(t) + "\n" for t in transfers])
+
+
+def _kept_rows(matches: list[re.Match], kept: list[tuple]) -> Rows:
+    """transfer_rows of kept canonical lines, from their matches and the
+    groups of each."""
+    endpoints = [None] * (2 * len(kept))
+    endpoints[0::2] = map(itemgetter(6), kept)
+    endpoints[1::2] = map(itemgetter(7), kept)
+    return _local_rows(endpoints, list(map(int, map(itemgetter(8), kept))))
+
+
+def _kept_text(matches: list[re.Match], kept: list[tuple]) -> str:
+    """transfer_text of kept canonical lines, from their matches and the
+    groups of each. A line is copied where transfer_line would render
+    it alike: its call is "transfer", its timestamp not -0, and its
+    endpoints printable ASCII, which encode_basestring_ascii leaves as
+    they are."""
+    lines = []
+    for m, groups in zip(matches, kept):
+        line = m[0]
+        if (groups[3] != "transfer" or groups[1] == "-0" or not line.isascii()
+                or "\x7f" in line):
+            line = transfer_line(_canonical_record(groups)) + "\n"
+        lines.append(line)
+    return "".join(lines)
+
+
+# The renders the block kernel knows, each with its twin over kept
+# canonical lines.
+_KEPT_RENDER = {transfer_rows: _kept_rows, transfer_text: _kept_text}
 
 
 # -- one file, parsed in blocks by two processes ------------------------
@@ -415,7 +493,9 @@ def ingest_blocks(
 ) -> Iterator:
     """Yield render(kept transfers) for each block of the ledger file at
     path (see BLOCK_BYTES), in file order. render must return a
-    marshal-able value.
+    marshal-able value; for transfer_rows and transfer_text, the block
+    kernel renders a block of canonical lines without making a record
+    (see _parse_block).
 
     The transfers, the counts in summary (complete once iteration
     finishes) and the first exception are those of ingest() over the
@@ -514,15 +594,57 @@ def _blocks(fh, start: int = 0) -> list[tuple[int, int]]:
 
 def _parse_block(fd: int, start: int, end: int, render, start_block: int, on_error: str):
     """(counts, rendered) of the bytes start:end of the file fd, read as a
-    ledger of their own, or None where ingest() raised over them."""
+    ledger of their own, or None where ingest() raised over them.
+
+    Where render is one the block kernel knows (see _KEPT_RENDER) and
+    the block is canonical (see _canonical_block), its twin renders the
+    kernel's kept lines; any other block goes through ingest() whole.
+    """
+    data = os.pread(fd, end - start, start)
+    kept_render = _KEPT_RENDER.get(render)
+    block = None if kept_render is None else _canonical_block(data, start_block)
+    if block is not None:
+        counts, matches, kept = block
+        return counts, kept_render(matches, kept)
     counts = IngestSummary()
-    data = io.BytesIO(os.pread(fd, end - start, start))
-    with io.TextIOWrapper(data, encoding="utf-8") as text:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
         try:
             rendered = render(ingest(text, start_block, on_error, counts))
         except MalformedRecordError:
             return None
     return astuple(counts), rendered
+
+
+def _canonical_block(data: bytes, start_block: int) -> Optional[tuple[tuple, list, list]]:
+    """(counts, the matches of the kept lines, the groups of each) of a
+    block whose every line is in the canonical layout (see
+    _canonical_match) and, but perhaps the last, ends in a newline, as
+    ingest() would count them: one finditer pass, each match classified
+    as parse_record classifies it. None where a line is not, such as a
+    blank, a CRLF or a malformed line, where the bytes are not UTF-8, or
+    where a line is a transfer call without endpoints."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    matches, kept, dropped = [], [], []
+    for m in _canonical_lines(text):
+        groups = m.groups()
+        outcome = _canonical_outcome(groups, start_block)
+        if outcome == "kept":
+            matches.append(m)
+            kept.append(groups)
+        else:
+            dropped.append(outcome)
+    # each match is one whole line, so they cover the block where they
+    # are as many as its lines
+    if None in dropped or len(kept) + len(dropped) != text.count("\n"):
+        return None
+    counts = IngestSummary(parsed=len(kept) + len(dropped), kept=len(kept),
+                           **{reason: dropped.count(reason) for reason in DROP_REASONS})
+    return astuple(counts), matches, kept
 
 
 def _raise_first_error(path: str, start_block: int, on_error: str):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, settings
 from fluxgraph.contraction import ContractedGraph
 from fluxgraph.exchanges import Coloring
 from fluxgraph.graph import AggregatedGraph, EdgeAggregate, fold_rows
-from fluxgraph.records import TransferRecord
+from fluxgraph.records import TransferRecord, transfer_rows
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -44,7 +44,7 @@ def add_edge(graph: AggregatedGraph, sender: str, recipient: str, flux: int,
 
 def build_graph(transfers: Iterable[TransferRecord]) -> AggregatedGraph:
     """Aggregate a transfer stream; the result is independent of input order."""
-    return fold_rows((t.sender, t.recipient, t.amount_planck) for t in transfers)
+    return fold_rows([transfer_rows(transfers)])
 
 
 def as_aggregated(contracted: ContractedGraph) -> tuple[AggregatedGraph, Coloring]:

@@ -29,6 +29,7 @@ KEPT = {
     "write_transfers": "bench/spans.py wraps it as an attribute of fluxgraph.cli",
     "from_mapping": "README's public API: a Coloring from a name -> color mapping",
     "generate": "README's public API: a scenario's ledger and ground truth in memory",
+    "add_transfer": "README's public API: fold one transfer; bench/inputs.py folds with it",
 }
 
 

@@ -195,6 +195,52 @@ class TestExitCodes:
         assert files_under(out) == ([] if (out / name).is_dir() else [name])
         assert_no_child()
 
+    @pytest.mark.parametrize("command, name, kind", [
+        ("ingest", "transfers.jsonl", "a regular file"),
+        ("build", "graph", "a directory"),
+        ("detect", "clusters.csv", "a regular file"),
+        ("detect", "coloring.csv", "a regular file"),
+        ("contract", "contracted", "a directory"),
+        ("analyze", "report", "a directory"),
+        ("synth", "ledger.jsonl", "a regular file"),
+        ("synth", "truth", "a directory"),
+    ])
+    def test_stage_output_of_wrong_kind_fails_before_any_write(self, tmp_path, ledger, capsys,
+                                                               command, name, kind):
+        """As run does, each command refuses an output path of the wrong
+        kind before its first write: detect, given a --coloring that is a
+        directory, must not write its clusters.csv first."""
+        root, path, _ = ledger
+        labels = str(root / "labels.csv")
+        done = tmp_path / "done"
+        assert run_pipeline(path, done, labels=labels) == cli.EXIT_OK
+        scenario = tmp_path / "scenario.json"
+        assert cli.main(["synth", "--template", str(scenario), "--quiet"]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "a directory":
+            (out / name).write_text("")
+        else:
+            (out / name).mkdir()
+        argv = {
+            "ingest": ["--input", path, "--output", out / "transfers.jsonl"],
+            "build": ["--input", path, "--output", out / "graph"],
+            "detect": ["--graph", done / "graph", "--labels", labels,
+                       "--output", out / "clusters.csv", "--coloring", out / "coloring.csv"],
+            "contract": ["--graph", done / "graph", "--coloring", done / "coloring.csv",
+                         "--clusters", done / "clusters.csv", "--output", out / "contracted"],
+            "analyze": ["--contracted", done / "contracted", "--clusters", done / "clusters.csv",
+                        "--output", out / "report"],
+            "synth": ["--scenario", scenario, "--output", out / "ledger.jsonl",
+                      "--truth", out / "truth"],
+        }[command]
+        code = cli.main([command, *map(str, argv), "--quiet"])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error: {out / name} exists but is not {kind}\n"
+        assert os.listdir(out) == [name]
+        assert files_under(out) == ([] if (out / name).is_dir() else [name])
+        assert_no_child()
+
     def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, ledger):
         _, path, _ = ledger
         with open(path, "rb") as fh:

@@ -645,31 +645,47 @@ def _outcome_of(read):
         return type(exc), str(exc), exc.line_no
 
 
-_NAMES = ["alice", "bob", "ünï", "名前", "U0000001"]
+_NAMES = ["alice", "bob", "ünï", "名前", "U0000001", "del\x7f"]
+_CALLS = ["transfer", "transfer", "transfer_keep_alive", "Transfer_Keep_Alive", "TRANSFER_ALL"]
 
 
 @st.composite
 def ledger_lines(draw):
-    """One line of a ledger, with its line end: a kept transfer in either
-    layout, a dropped record, a blank line or a malformed one."""
-    kind = draw(st.sampled_from(["kept", "kept", "canonical", "dropped", "blank", "malformed"]))
+    """One line of a ledger, with its line end or, at times, none: a kept
+    transfer in either layout, a dropped record, a blank line or a
+    malformed one. The "kept" and "dropped" lines are in the canonical
+    layout, so that a block of them takes the block kernel: their calls
+    vary in name and case, their endpoints may be non-ASCII or hold a
+    DEL, their timestamp may read -0 and their block number lies on
+    either side of a start block of 50; "no_endpoints" is a canonical
+    transfer call without endpoints, which only the json path reads."""
+    kind = draw(st.sampled_from(["kept", "kept", "canonical", "dropped", "blank", "malformed",
+                                 "no_endpoints"]))
     sender, recipient = draw(st.sampled_from(_NAMES)), draw(st.sampled_from(_NAMES))
     amount = draw(st.integers(0, 10**12))
     if kind == "kept":
         body = json.dumps(dict(json.loads(record_line(amount_planck=amount)),
-                               sender=sender, recipient=recipient), ensure_ascii=False)
+                               sender=sender, recipient=recipient,
+                               call_id=draw(st.sampled_from(_CALLS)),
+                               block_number=draw(st.sampled_from([49, 50, 100]))),
+                          ensure_ascii=False)
+        if draw(st.booleans()):
+            body = body.replace('"timestamp": 1600000000000', '"timestamp": -0')
     elif kind == "canonical":
         body = transfer_line(TransferRecord(sender, recipient, amount or 1, 5, 6))
     elif kind == "dropped":
         body = record_line(**draw(st.sampled_from([
             {"signed": False}, {"success": False}, {"call_id": "bond"},
             {"amount_planck": 0}, {"block_number": 1}])))
+    elif kind == "no_endpoints":
+        body = record_line(call_id=draw(st.sampled_from(_CALLS)), sender=..., recipient=...,
+                           amount_planck=...)
     elif kind == "blank":
         body = draw(st.sampled_from(["", "  ", "\t"]))
     else:
         body = draw(st.sampled_from(["{not json", '{"block_number": 1}', "[]",
                                      record_line(timestamp="x")]))
-    return body + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return body + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", ""]))
 
 
 # How long ingest_blocks may take over a few blocks before a test of
@@ -745,6 +761,53 @@ class TestBlocks:
                 with mock.patch.object(records, "BLOCK_BYTES", block):
                     several = len(records._blocks(fh)) >= 2
             assert bool(forks) == several
+
+    @pytest.mark.parametrize("start_block", [0, 3])
+    def test_canonical_blocks_take_the_kernel(self, tmp_path, monkeypatch, start_block):
+        """Where every line of a ledger is canonical, its blocks are parsed
+        by the block kernel alone: with ingest() raising there, in either
+        process, ingest_blocks still gives ingest()'s transfers and counts
+        in both shapes. Three kept lines must be re-rendered: a keep-alive
+        call with a non-ASCII sender, a -0 timestamp, and a recipient with
+        a DEL."""
+        from fluxgraph.graph import fold_rows
+        from fluxgraph.synth import ScenarioConfig, generate
+
+        from conftest import assert_no_child, build_graph
+
+        lines, _truth = generate(ScenarioConfig(seed=5, user_count=60,
+                                                nontransfer_noise_rate=0.2,
+                                                failed_noise_rate=0.2,
+                                                zero_amount_noise_rate=0.2))
+        odd = json.loads(record_line(call_id="Transfer_Keep_Alive", sender="ünï",
+                                     block_number=7))
+        lines[5:5] = [json.dumps(odd, ensure_ascii=False),
+                      record_line(timestamp=0).replace('"timestamp": 0', '"timestamp": -0'),
+                      json.dumps(json.loads(record_line(recipient="del\x7f")),
+                                 ensure_ascii=False)]
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")  # the last line without one
+        serial = IngestSummary()
+        with open(path, encoding="utf-8") as fh:
+            kept = list(ingest(fh, start_block, summary=serial))
+        assert serial.kept < serial.parsed and len(kept) > 2
+        want = build_graph(kept)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a block of canonical lines went through ingest()")
+
+        monkeypatch.setattr(records, "BLOCK_BYTES", 1024)
+        with open(path, "rb") as fh:
+            assert len(records._blocks(fh)) >= 4
+        monkeypatch.setattr(records, "ingest", refused)
+        summary = IngestSummary()
+        text = "".join(records.ingest_blocks(str(path), records.transfer_text, start_block,
+                                             summary=summary))
+        assert text == records.transfer_text(kept) and summary == serial
+        graph = fold_rows(records.ingest_blocks(str(path), records.transfer_rows, start_block))
+        assert ((graph.names, graph.src, graph.dst, graph.flux, graph.mult)
+                == (want.names, want.src, want.dst, want.flux, want.mult))
+        assert_no_child()
 
     def test_every_block_claimed_once_under_contention(self, tmp_path, monkeypatch):
         """One line per block, so the two processes take the claim token
@@ -834,7 +897,7 @@ class TestBlocks:
         and load_graph parse every block in this process, with the results
         of one, and fork nothing."""
         from fluxgraph import graph as graph_module
-        from fluxgraph.graph import load_graph, save_graph
+        from fluxgraph.graph import fold_rows, load_graph, save_graph
 
         from conftest import assert_no_child, build_graph
 
@@ -862,9 +925,11 @@ class TestBlocks:
         monkeypatch.setattr(graph_module, "_fold_edge_rows", row_loop)
         monkeypatch.setattr(records, "BLOCK_BYTES", 64)
         summary = IngestSummary()
-        rows = records.transfer_rows
-        assert [t for block in records.ingest_blocks(str(path), rows, summary=summary)
-                for t in block] == rows(kept)
+        folded = fold_rows(records.ingest_blocks(str(path), records.transfer_rows,
+                                                 summary=summary))
+        serial = build_graph(kept)
+        assert ((folded.names, folded.src, folded.dst, folded.flux, folded.mult)
+                == (serial.names, serial.src, serial.dst, serial.flux, serial.mult))
         assert (summary.parsed, summary.kept) == (40, 40)
         g = load_graph(str(tmp_path / "graph"))
         assert ((g.names, g.src, g.dst, g.flux, g.mult)
